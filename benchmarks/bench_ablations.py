@@ -6,9 +6,9 @@ reproduction layered on top of the paper's design:
 * **wave merging**: OR-merging symbolic packets per (source, node,
   in-port, hops) collapses the ECMP path product.  Without it, BDD
   operation counts explode combinatorially with k.
-* **runtime backends**: sequential vs threaded vs process-backed workers
-  compute identical results; the process backend adds real parallelism at
-  the cost of pipe serialization.
+* **runtime backends**: sequential vs threaded vs socket-backed workers
+  compute identical results; the socket backend adds real parallelism at
+  the cost of RPC serialization.
 * **round scheme**: the two-phase (Jacobi) distributed rounds converge in
   more rounds than the monolithic engine's immediate-update sweeps, but
   each round is fully parallel — the classic chaotic-iteration trade.
@@ -62,7 +62,7 @@ def run_merging_ablation():
 
 def run_runtime_ablation():
     rows = []
-    for runtime in ("sequential", "threaded", "process"):
+    for runtime in ("sequential", "threaded", "socket"):
         started = time.perf_counter()
         with S2Controller(
             build_fattree(6),

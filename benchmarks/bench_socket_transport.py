@@ -10,8 +10,7 @@ Three layers, measured separately so a regression is attributable:
    ``RpcChannel``/``RpcServer`` pair, i.e. the floor every ``pull_round``
    barrier pays per worker.
 3. **End to end** — a FatTree4 control-plane run on the ``socket``
-   runtime next to the ``process`` runtime: the price of real TCP plus
-   idempotency bookkeeping over same-host pipes.
+   runtime: real TCP plus idempotency bookkeeping, whole pipeline.
 """
 
 from __future__ import annotations
@@ -158,26 +157,18 @@ def _bench_pipelining(rows):
 
 def _bench_control_plane(rows):
     snapshot = build_fattree(4)
-    walls = {}
-    for runtime in ["process", "socket"]:
-        best = float("inf")
-        for _ in range(2):
-            options = S2Options(num_workers=3, num_shards=2, runtime=runtime)
-            started = time.perf_counter()
-            with S2Controller(snapshot, options) as controller:
-                controller.run_control_plane()
-            best = min(best, time.perf_counter() - started)
-        walls[runtime] = best
-        rows.append(
-            ["end-to-end", f"fattree4 {runtime}", 1, f"{best:.3f}",
-             f"{best:.3f} s", "control plane, best of 2"]
-        )
-    overhead = 100.0 * (walls["socket"] / walls["process"] - 1.0)
+    best = float("inf")
+    for _ in range(2):
+        options = S2Options(num_workers=3, num_shards=2, runtime="socket")
+        started = time.perf_counter()
+        with S2Controller(snapshot, options) as controller:
+            controller.run_control_plane()
+        best = min(best, time.perf_counter() - started)
     rows.append(
-        ["end-to-end", "socket overhead", "-", "-",
-         f"{overhead:+.1f}%", "vs process runtime"]
+        ["end-to-end", "fattree4 socket", 1, f"{best:.3f}",
+         f"{best:.3f} s", "control plane, best of 2"]
     )
-    return walls
+    return {"socket": best}
 
 
 def _run_experiment():

@@ -617,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--runtime",
-        choices=["sequential", "threaded", "process", "socket"],
+        choices=["sequential", "threaded", "socket"],
         default="sequential",
     )
     verify.add_argument(
@@ -791,9 +791,9 @@ def build_parser() -> argparse.ArgumentParser:
                       "probabilities)")
     fuzz.add_argument("--process-every", type=int, default=None,
                       metavar="N",
-                      help="include the process-backed runtime every Nth "
-                      "iteration (0 = never; default 25, or 20 with "
-                      "--smoke)")
+                      help="include real worker processes (the socket "
+                      "runtime, no faults) every Nth iteration (0 = "
+                      "never; default 25, or 20 with --smoke)")
     fuzz.add_argument("--faults-every", type=int, default=None, metavar="N",
                       help="include a fault-injected run every Nth "
                       "iteration (0 = never; default 0, or 10 with "
@@ -872,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--scheme", choices=SCHEMES, default="metis")
     serve.add_argument(
         "--runtime",
-        choices=["sequential", "threaded", "process", "socket"],
+        choices=["sequential", "threaded", "socket"],
         default="sequential",
     )
     serve.add_argument(

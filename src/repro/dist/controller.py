@@ -8,8 +8,8 @@ the high-level :class:`~repro.core.s2.S2Verifier` API.
 
 The controller is also where fault tolerance comes together:
 
-* a :class:`WorkerSupervisor` recovers failed workers (respawn in the
-  process runtime, in-place reset in the in-process runtimes) and
+* a :class:`WorkerSupervisor` recovers failed workers (a fresh worker
+  process on the socket runtime, an in-place reset in-process) and
   replays the OSPF checkpoint into them, so the CPO can rerun the
   interrupted shard;
 * if recovery itself fails (:class:`~repro.dist.faults.RespawnError`) or
@@ -34,7 +34,7 @@ from ..bdd.headerspace import HeaderEncoding
 from ..config.loader import Snapshot
 from ..net.ip import Prefix
 from ..obs.metrics import MetricsRegistry
-from ..obs.telemetry import TelemetryCollector, TelemetrySource
+from ..obs.telemetry import TelemetryCollector
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..obs.merge import merge_shards
 from ..routing.engine import BgpResult
@@ -64,7 +64,7 @@ from .runtime import Runtime, make_runtime
 from .sharding import PrefixShard, make_shards, validate_shards
 from .sidecar import Sidecar
 from .storage import RouteStore, RunManifest, ShardRoutes
-from .worker import Worker
+from .worker import LocalWorkerPool
 
 
 @dataclass
@@ -88,7 +88,7 @@ class S2Options:
     max_rounds: int = 200
     max_hops: int = 24
     runtime: str = "sequential"      # "sequential" | "threaded" |
-    #                                  "process" | "socket"
+    #                                  "socket"
     worker_hosts: Optional[Sequence[str]] = None  # socket runtime: dial
     #                                  these host:port listeners instead
     #                                  of forking local workers
@@ -119,7 +119,7 @@ def options_fingerprint(options: S2Options, snapshot: Snapshot) -> str:
     sharding, partitioning, seed, or snapshot) is refused.  Supervision
     knobs (``fault_plan``, ``retry_policy``, ``runtime``) are excluded on
     purpose — they change *how* the run executes, never what it computes,
-    so a crashed process-runtime run may be resumed sequentially.
+    so a crashed socket-runtime run may be resumed sequentially.
     """
     payload = {
         "version": 1,
@@ -142,10 +142,11 @@ class WorkerSupervisor:
     """Recovers failed workers and replays checkpoints into them.
 
     One recovery has three steps: (1) give the worker a fresh execution
-    context — :meth:`~repro.dist.process_runtime.ProcessWorkerPool.
-    respawn` for process workers, :meth:`~repro.dist.worker.Worker.reset`
-    in-process — keeping the proxy/worker *identity* so orchestrator and
-    sidecar references stay valid; (2) replay the OSPF checkpoint taken
+    context through its pool's ``respawn`` — a new worker process on the
+    socket runtime, :meth:`~repro.dist.worker.Worker.reset` in-process
+    (:class:`~repro.dist.worker.LocalWorkerPool`, the default when no
+    pool is given) — keeping the proxy/worker *identity* so orchestrator
+    and sidecar references stay valid; (2) replay the OSPF checkpoint taken
     after the IGP fixed point; (3) the caller (CPO/DPO) replays the
     interrupted unit of work (shard or query), which is idempotent.
 
@@ -172,11 +173,13 @@ class WorkerSupervisor:
     ) -> None:
         self.workers = list(workers)
         self.store = store
-        self.pool = pool
+        self.pool = (
+            pool if pool is not None
+            else LocalWorkerPool(self.workers, fault_plan)
+        )
         self.persistent = persistent
         self.sidecars = list(sidecars) if sidecars else []
         self.policy = policy or RetryPolicy()
-        self.fault_plan = fault_plan
         self._ospf_states: Dict[int, Any] = {}
         self.recoveries = 0
         self.losses = 0
@@ -229,33 +232,6 @@ class WorkerSupervisor:
                 return worker
         return None
 
-    def _respawn_once(self, worker_id: int) -> None:
-        """One respawn attempt; raises :class:`RespawnError` on failure.
-
-        In-process runtimes have no pool, but a host-down injection must
-        still be honoured there — otherwise ``host_loss`` plans would be
-        untestable under the sequential/threaded runtimes.
-        """
-        if self.pool is not None:
-            self.pool.respawn(worker_id)
-            return
-        worker = self._worker_by_id(worker_id)
-        if worker is None:
-            raise RespawnError(
-                f"worker {worker_id} is not in the active set",
-                worker_id=worker_id,
-            )
-        if (
-            self.fault_plan is not None
-            and self.fault_plan.should_fail_respawn(worker_id)
-        ):
-            raise RespawnError(
-                f"respawn of worker {worker_id} failed (injected)",
-                worker_id=worker_id,
-            )
-        worker.reset()
-        worker.resources.respawns += 1
-
     def recover(self, failure: WorkerFailure) -> None:
         """Bring the failed worker back; raises RespawnError on failure.
 
@@ -285,14 +261,14 @@ class WorkerSupervisor:
                 recoveries=self.recoveries,
             )
         budget = max(1, self.policy.respawn_budget)
-        if self.pool is not None and not getattr(self.pool, "managed", True):
+        if not self.pool.managed:
             # Connect-mode socket host: respawn re-dials the same
             # address, so one refused attempt means the host is gone.
             budget = 1
         attempts = 0
         while True:
             try:
-                self._respawn_once(worker_id)
+                self.pool.respawn(worker_id)
                 break
             except RespawnError as exc:
                 attempts += 1
@@ -370,6 +346,13 @@ class S2Controller:
         self.snapshot = snapshot
         self.options = options or S2Options()
         opts = self.options
+        # Remote workers run their phases through a thread pool whose
+        # threads block on the worker channels, so the worker processes
+        # execute concurrently.  Built first: an unknown runtime is
+        # refused before anything is spawned.
+        self.runtime: Runtime = make_runtime(
+            "threaded" if opts.runtime == "socket" else opts.runtime
+        )
         self.partition: PartitionResult = partition(
             snapshot,
             opts.num_workers,
@@ -381,13 +364,13 @@ class S2Controller:
         # -- observability -------------------------------------------------
         # Tracing is on iff an output was requested; shards always live in
         # a directory (derived from trace_out when none was given) so the
-        # process runtime and the merge step share one layout.
+        # worker processes and the merge step share one layout.
         self.trace_dir: Optional[str] = opts.trace_dir or (
             opts.trace_out + ".shards" if opts.trace_out else None
         )
         self.metrics = MetricsRegistry()
         # Streaming telemetry: every runtime pushes frames into this
-        # collector (remote runtimes piggyback them on RPC responses;
+        # collector (remote workers piggyback them on RPC responses;
         # in-process workers call the sink at phase boundaries).
         self.telemetry = TelemetryCollector(self.metrics)
         telemetry_interval = (
@@ -400,37 +383,13 @@ class S2Controller:
             )
         else:
             self.tracer = NULL_TRACER
-        self._worker_tracers: List[Tracer] = []
         if opts.fault_plan is not None:
             opts.fault_plan.observer = self._observe_fault
-        self._pool = None
-        if opts.runtime == "process":
-            # Real OS processes, one per worker; phases run through a
-            # thread pool whose threads block on the worker pipes, so the
-            # worker processes execute concurrently.
-            from .process_runtime import ProcessWorkerPool
-
-            self._pool = ProcessWorkerPool(
-                snapshot=snapshot,
-                assignment=self.partition.assignment,
-                num_workers=opts.num_workers,
-                capacity=capacity,
-                cost_model=opts.cost_model,
-                max_hops=opts.max_hops,
-                retry_policy=opts.retry_policy,
-                fault_plan=opts.fault_plan,
-                trace_dir=self.trace_dir,
-                tracer=self.tracer,
-                telemetry_interval=telemetry_interval,
-                telemetry_sink=self.telemetry.ingest,
-            )
-            self.workers = self._pool.proxies
-            self.runtime: Runtime = make_runtime("threaded")
-        elif opts.runtime == "socket":
+        if opts.runtime == "socket":
             # Workers behind TCP servers speaking the framed RPC protocol
             # (repro.dist.transport): localhost processes by default, or
-            # remote listeners via worker_hosts.  Same threaded phase
-            # dispatch as the process runtime.
+            # remote listeners via worker_hosts.  Faults are injected at
+            # the proxy call layer.
             from .socket_runtime import SocketWorkerPool
 
             self._pool = SocketWorkerPool(
@@ -449,54 +408,21 @@ class S2Controller:
                 telemetry_interval=telemetry_interval,
                 telemetry_sink=self.telemetry.ingest,
             )
-            self.workers = self._pool.proxies
-            self.runtime = make_runtime("threaded")
         else:
-            if self.trace_dir:
-                # In-process workers write their own shards too, so the
-                # merged timeline has one track per worker regardless of
-                # runtime.
-                self._worker_tracers = [
-                    Tracer(
-                        process=f"worker{i}",
-                        sink=os.path.join(
-                            self.trace_dir, f"worker{i}.0.jsonl"
-                        ),
-                    )
-                    for i in range(opts.num_workers)
-                ]
-            self.runtime = make_runtime(opts.runtime)
-            self.workers: List[Worker] = [
-                Worker(
-                    worker_id=i,
-                    snapshot=snapshot,
-                    assignment=self.partition.assignment,
-                    resources=WorkerResources(
-                        name=f"worker{i}",
-                        capacity=capacity,
-                        model=opts.cost_model,
-                    ),
-                    max_hops=opts.max_hops,
-                    tracer=(
-                        self._worker_tracers[i]
-                        if self._worker_tracers
-                        else None
-                    ),
-                )
-                for i in range(opts.num_workers)
-            ]
-            # In-process fault injection happens inside the worker phases
-            # (the process runtime injects at the proxy call layer).
-            for worker in self.workers:
-                worker.fault_injector = opts.fault_plan
-            if telemetry_interval > 0:
-                for worker in self.workers:
-                    worker.attach_telemetry(
-                        TelemetrySource(
-                            worker, interval=telemetry_interval
-                        ),
-                        sink=self.telemetry.ingest,
-                    )
+            # In-process workers on the sequential or threaded runtime.
+            self._pool = LocalWorkerPool.build(
+                snapshot=snapshot,
+                assignment=self.partition.assignment,
+                num_workers=opts.num_workers,
+                capacity=capacity,
+                cost_model=opts.cost_model,
+                max_hops=opts.max_hops,
+                fault_plan=opts.fault_plan,
+                trace_dir=self.trace_dir,
+                telemetry_interval=telemetry_interval,
+                telemetry_sink=self.telemetry.ingest,
+            )
+        self.workers: List[Any] = list(self._pool.proxies)
         self.sidecars = [
             Sidecar(worker, fault_plan=opts.fault_plan, metrics=self.metrics)
             for worker in self.workers
@@ -691,10 +617,9 @@ class S2Controller:
         """
         self.snapshot = snapshot
         changed = tuple(changed_hosts)
-        if self._pool is not None:
-            # A worker respawned mid-epoch is re-seeded from the pool's
-            # spawn args; those must describe the *current* snapshot.
-            self._pool.update_snapshot(snapshot)
+        # A worker respawned mid-epoch is re-seeded from the pool's
+        # spawn args; those must describe the *current* snapshot.
+        self._pool.update_snapshot(snapshot)
         self._on_each_worker(
             lambda worker: worker.rebind_snapshot(snapshot, changed, epoch)
         )
@@ -740,31 +665,7 @@ class S2Controller:
         # drop them *before* any recovery so a respawn mid-reconfigure
         # doesn't restore stale OSPF state.
         self.supervisor.forget_checkpoints()
-        if self._pool is not None:
-            attempts = 0
-            while True:
-                try:
-                    # Refetched every attempt: a recovery that declared a
-                    # worker lost re-planned the assignment under us.
-                    self._pool.reconfigure(
-                        snapshot, self.partition.assignment
-                    )
-                    break
-                except WorkerFailure as failure:
-                    attempts += 1
-                    if attempts > len(self.workers):
-                        raise
-                    self.supervisor.recover(failure)
-        else:
-            for worker in self.workers:
-                worker.snapshot = snapshot
-                worker.assignment = self.partition.assignment
-                worker.reset()
-        # Every worker was logically respawned: receive-side sequence
-        # and dedup state is gone everywhere, so every sender's caches
-        # must go too.
-        for sidecar in self.sidecars:
-            sidecar.invalidate_send_caches()
+        self._reconfigure_active()
         if opts.num_shards and opts.num_shards > 1:
             self.shards = make_shards(
                 snapshot, opts.num_shards, seed=opts.seed
@@ -856,8 +757,7 @@ class S2Controller:
         self.supervisor.sidecars = list(self.sidecars)
         self.cpo.drop_worker(worker_id)
         self.dpo.drop_worker(worker_id)
-        if self._pool is not None:
-            self._pool.mark_lost(worker_id)
+        self._pool.mark_lost(worker_id)
         migrated = self._migrate_store_files(worker_id, new_assignment)
         # Account the loss *before* rebuilding the survivors: a cascade
         # (another worker dying during the rebuild) must not erase the
@@ -893,25 +793,25 @@ class S2Controller:
 
     def _reconfigure_active(self) -> None:
         """Logically respawn every *active* worker on the current
-        snapshot + assignment (their node sets changed)."""
-        if self._pool is not None:
-            attempts = 0
-            while True:
-                try:
-                    self._pool.reconfigure(
-                        self.snapshot, self.partition.assignment
-                    )
-                    break
-                except WorkerFailure as failure:
-                    attempts += 1
-                    if attempts > len(self.workers):
-                        raise
-                    self.supervisor.recover(failure)
-        else:
-            for worker in list(self.workers):
-                worker.snapshot = self.snapshot
-                worker.assignment = self.partition.assignment
-                worker.reset()
+        snapshot + assignment (their node sets changed).
+
+        A worker that fails mid-sweep goes through supervisor recovery
+        and the sweep restarts, once per worker at most.
+        """
+        attempts = 0
+        while True:
+            try:
+                # Refetched every attempt: a recovery that declared a
+                # worker lost re-planned the assignment under us.
+                self._pool.reconfigure(
+                    self.snapshot, self.partition.assignment
+                )
+                break
+            except WorkerFailure as failure:
+                attempts += 1
+                if attempts > len(self.workers):
+                    raise
+                self.supervisor.recover(failure)
         # Every active worker was rebuilt: receive-side sequence and
         # dedup memory is gone everywhere, so every sender's caches go.
         for sidecar in self.sidecars:
@@ -958,17 +858,7 @@ class S2Controller:
             raise ValueError(f"worker {worker_id} is not lost")
         worker, sidecar = entry
         try:
-            if self._pool is not None:
-                self._pool.respawn(worker_id)
-            else:
-                plan = self.options.fault_plan
-                if plan is not None and plan.should_fail_respawn(worker_id):
-                    raise RespawnError(
-                        f"respawn of worker {worker_id} failed (injected)",
-                        worker_id=worker_id,
-                    )
-                worker.reset()
-                worker.resources.respawns += 1
+            self._pool.respawn(worker_id)
         except RespawnError:
             return False
         del self.lost[worker_id]
@@ -1226,9 +1116,7 @@ class S2Controller:
         snapshot["recoveries"] = self.supervisor.recoveries
         snapshot["capacity"] = self.capacity()
         snapshot["telemetry"] = self.telemetry.summary()
-        if self._pool is not None and hasattr(
-            self._pool, "transport_counters"
-        ):
+        if hasattr(self._pool, "transport_counters"):
             snapshot["transport"] = self._pool.transport_counters()
         return snapshot
 
@@ -1236,12 +1124,10 @@ class S2Controller:
         """Flush tracers, merge trace shards, write the metrics file.
 
         Runs as the innermost step of :meth:`close`, after the worker
-        pool is down — process-runtime shards are complete only once
-        their writers have exited.
+        pool is down — worker shards are complete only once their
+        writers have exited (or, in-process, been finished by the pool).
         """
         opts = self.options
-        for tracer in self._worker_tracers:
-            tracer.finish()
         if self.tracer.enabled:
             with self.tracer.span("controller.finalize"):
                 pass
@@ -1271,8 +1157,7 @@ class S2Controller:
     def close(self) -> None:
         """Tear everything down; no step may mask another's cleanup."""
         try:
-            if self._pool is not None:
-                self._pool.close()
+            self._pool.close()
         finally:
             try:
                 self.store.close()

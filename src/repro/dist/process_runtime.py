@@ -1,18 +1,15 @@
-"""Process-backed workers: real scale-out on one machine.
+"""The controller-side worker proxy: one worker process behind a channel.
 
-The in-process runtimes exercise S2's algorithms; this module runs each
-worker in its **own OS process**, connected to the controller by a pipe —
-the closest a single machine gets to the paper's deployment (one JVM per
-logical server, gRPC sidecars).  Phases execute with true parallelism:
-the controller issues a phase to every worker through a thread pool, each
-thread blocks on its pipe (releasing the GIL) while the worker processes
-compute concurrently.
+Each remote worker is an OS process serving the framed RPC protocol of
+:mod:`repro.dist.transport` (see :mod:`repro.dist.socket_runtime`, which
+spawns or dials them).  :class:`WorkerProcessProxy` is its handle in the
+controller.
 
 Design notes:
 
-* :class:`WorkerProcessProxy` mirrors the :class:`~repro.dist.worker.Worker`
-  surface the orchestrators and sidecars use, so the CPO/DPO code is the
-  same for in-process and process-backed clusters.
+* The proxy mirrors the :class:`~repro.dist.worker.Worker` surface the
+  orchestrators and sidecars use, so the CPO/DPO code is the same for
+  in-process and remote clusters.
 * Resource accounting stays controller-side: the remote worker enforces
   its memory ceiling (raising :class:`SimulatedOOM` in situ, relayed back
   and re-raised by the proxy) and returns work counts; the proxy's local
@@ -20,28 +17,23 @@ Design notes:
   as for in-process workers.
 * Shard results are flushed to the shared on-disk
   :class:`~repro.dist.storage.RouteStore` *by the worker process*, so
-  converged RIBs never transit the control pipe (matching §3.1's
+  converged RIBs never transit the channel (matching §3.1's
   write-to-persistent-storage step).
-* **Supervision**: every proxy call runs under a configurable timeout and
-  an exponential-backoff retry loop for transient RPC faults; a pipe
-  EOF, a dead process, or a timeout surfaces as a
+* **Supervision**: every call runs under the channel's deadline and an
+  exponential-backoff retry loop for transient RPC faults; an
+  unreachable worker or a timeout surfaces as a
   :class:`~repro.dist.faults.WorkerFailure` the orchestrators recover
-  from (respawn + shard replay).  A proxy whose call timed out is
-  *poisoned* — its pipe may hold a stale response — until
-  :meth:`WorkerProcessProxy.revive` gives it a fresh process.
-* Processes are forked before any thread exists and are shut down (or
-  terminated, then killed, after a grace period) by
-  :meth:`ProcessWorkerPool.close`.
+  from (respawn + shard replay).  The channel's idempotent request ids
+  make a stale response self-identifying, so a timed-out proxy stays
+  usable.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import queue
-import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from concurrent.futures import Future
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..bdd.engine import BddOverflowError
 from ..bdd.headerspace import HeaderEncoding
@@ -49,7 +41,6 @@ from ..config.loader import Snapshot
 from ..obs.tracer import NULL_TRACER, Tracer
 from .faults import (
     FaultPlan,
-    RespawnError,
     RetryPolicy,
     StaleEpochError,
     TransientRpcError,
@@ -58,14 +49,9 @@ from .faults import (
     WorkerTimeoutError,
 )
 from .resources import SimulatedOOM, WorkerResources
-from .service import WorkerService
 from .sharding import PrefixShard
 from .storage import RouteStore
-from .transport import (
-    RpcTimeoutError,
-    TransportError,
-    mapped_transport_errors,
-)
+from .transport import RpcChannel, RpcTimeoutError, TransportError
 from .worker import PullOutcome
 
 _RELAYED_EXCEPTIONS = {
@@ -81,122 +67,47 @@ class RemoteWorkerError(WorkerFailure):
     """An unexpected exception inside a worker process."""
 
 
-class ProxyCallFuture:
-    """Result handle for a pipelined proxy call (see ``call_nowait``).
+class _CallFuture:
+    """Proxy-level future over a wire :class:`RpcFuture`.
 
-    ``result()`` blocks until the call completes and then returns its
-    value or re-raises its failure — the same outcome the equivalent
-    blocking call would have produced, just deferred.  Safe to resolve
-    exactly once and to await from any thread.
+    Settling maps transport failures to worker failures and applies the
+    proxy's ``_relay`` (telemetry mirror, exception relaying) — the same
+    post-processing a blocking call would have done inline.
     """
 
-    __slots__ = ("_event", "_value", "_failure")
+    __slots__ = ("_proxy", "_command", "_future")
 
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._value: Any = None
-        self._failure: Optional[BaseException] = None
-
-    def set_result(self, value: Any) -> None:
-        self._value = value
-        self._event.set()
-
-    def set_exception(self, failure: BaseException) -> None:
-        self._failure = failure
-        self._event.set()
+    def __init__(self, proxy, command: str, future) -> None:
+        self._proxy = proxy
+        self._command = command
+        self._future = future
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._future.done()
 
     def result(self, timeout: Optional[float] = None) -> Any:
-        if not self._event.wait(timeout):
-            raise RpcTimeoutError(
-                f"pipelined call did not complete within {timeout}s"
-            )
-        if self._failure is not None:
-            raise self._failure
-        return self._value
-
-
-def _worker_main(
-    connection,
-    worker_id: int,
-    snapshot: Snapshot,
-    assignment: Dict[str, int],
-    capacity: int,
-    cost_model,
-    max_hops: int,
-    trace_dir: Optional[str] = None,
-    incarnation: int = 0,
-    telemetry_interval: float = 0.0,
-) -> None:
-    """The worker process service loop: execute commands off the pipe."""
-    service = WorkerService()
-    service.configure(
-        worker_id,
-        snapshot,
-        assignment,
-        capacity,
-        cost_model,
-        max_hops,
-        trace_dir=trace_dir,
-        incarnation=incarnation,
-        telemetry_interval=telemetry_interval,
-    )
-    while True:
-        try:
-            command, args, flow_id = connection.recv()
-        except EOFError:
-            break
-        if command == "stop":
-            connection.send(("ok", None))
-            break
-        if command == "__configure__":
-            # Live reconfigure (logical respawn): the serving layer
-            # rebinds a resident fleet to a new snapshot/assignment
-            # without restarting processes.
-            try:
-                service.configure(*args)
-                connection.send(("ok", (None, _telemetry(service))))
-            except Exception as exc:  # noqa: BLE001 — relayed
-                import traceback as _tb
-
-                connection.send(
-                    ("exc", (type(exc).__name__, str(exc), _tb.format_exc()))
-                )
-            continue
-        connection.send(service.dispatch(command, args, flow_id))
-    service.finish()
-    connection.close()
-
-
-def _telemetry(service: WorkerService) -> tuple:
-    resources = service.resources
-    return (
-        resources.current_bytes,
-        resources.peak_bytes,
-        resources.candidate_routes,
-        resources.bdd_nodes,
-        resources.fib_entries,
-        resources.oom,
-        None,  # no streaming frame on the configure path
-    )
+        del timeout  # the channel enforces its own call deadline
+        with self._proxy._wire_errors(self._command):
+            status, payload = self._future.result()
+        return self._proxy._relay(self._command, status, payload)
 
 
 class WorkerProcessProxy:
     """Controller-side handle for one worker process.
 
     Exposes the Worker methods the orchestrators and sidecars call; each
-    call is one request/response on the pipe.  The proxy keeps a local
-    :class:`WorkerResources` mirror for the cost model, and supervises
-    the call: timeout, transient-fault retry with exponential backoff,
+    call is one request/response on the channel.  The proxy keeps a
+    local :class:`WorkerResources` mirror for the cost model, and
+    supervises the call: transient-fault retry with exponential backoff
     and fault injection from the attached :class:`FaultPlan`.
+    ``process`` is the local worker process, or None for a listener this
+    controller dialed but does not own.
     """
 
     def __init__(
         self,
         worker_id: int,
-        connection,
+        channel: RpcChannel,
         process,
         resources: WorkerResources,
         policy: Optional[RetryPolicy] = None,
@@ -206,7 +117,7 @@ class WorkerProcessProxy:
     ) -> None:
         self.worker_id = worker_id
         self.resources = resources
-        self._connection = connection
+        self._channel = channel
         self._process = process
         self._policy = policy or RetryPolicy()
         self._fault_plan = fault_plan
@@ -215,51 +126,50 @@ class WorkerProcessProxy:
         # to this callable (the controller's collector) when set.
         self.telemetry_sink = telemetry_sink
         self._flow_seq = 0
-        # A timed-out pipe may deliver the stale response to the *next*
-        # call; refuse further traffic until the worker is respawned.
-        self._poisoned = False
-        # One in-flight request per pipe: phases call one method per
-        # worker concurrently, and sidecar deliveries interleave.
-        self._lock = threading.Lock()
-        # Pipelined calls: a lazily started per-proxy dispatch thread
-        # drains a FIFO of deferred calls (see call_nowait).
-        self._nowait_lock = threading.Lock()
-        self._nowait_queue: Optional["queue.Queue"] = None
-        self._nowait_thread: Optional[threading.Thread] = None
 
     # -- plumbing ---------------------------------------------------------
 
-    def call_nowait(self, command: str, *args) -> ProxyCallFuture:
+    def call_nowait(self, command: str, *args):
         """Issue a call without waiting; returns a future with .result().
 
-        The pipe transport admits one in-flight request per worker, so
-        pipelining here comes from a per-proxy dispatch thread draining
-        a FIFO: callers enqueue and immediately regain control (the
-        sidecar issues one delivery per peer and overlaps them *across*
-        workers) while per-worker ordering is preserved.  The socket
-        runtime overrides this with true wire pipelining inside the
-        channel's in-flight window.
+        The channel multiplexes responses by request id, so several
+        requests share the wire up to ``rpc_window``.  With a fault plan
+        attached the call is made blocking and an already-settled future
+        returned, so injected call faults keep their exact blocking-call
+        semantics (preamble, transient retries); the failure, if any, is
+        raised at ``result()`` as for a pipelined call.
         """
-        future = ProxyCallFuture()
-        with self._nowait_lock:
-            if self._nowait_thread is None or not self._nowait_thread.is_alive():
-                self._nowait_queue = queue.Queue()
-                self._nowait_thread = threading.Thread(
-                    target=self._nowait_loop,
-                    name=f"worker{self.worker_id}-nowait",
-                    daemon=True,
-                )
-                self._nowait_thread.start()
-            self._nowait_queue.put((command, args, future))
-        return future
-
-    def _nowait_loop(self) -> None:
-        while True:
-            command, args, future = self._nowait_queue.get()
+        if self._fault_plan is not None:
+            future: Future = Future()
             try:
                 future.set_result(self._call(command, *args))
-            except BaseException as exc:  # noqa: BLE001 — deferred raise
+            except Exception as exc:  # noqa: BLE001 — deferred raise
                 future.set_exception(exc)
+            return future
+        flow_id = self._next_flow_id()
+        with self._rpc_span(command, flow_id):
+            wire_future = self._channel.call_nowait(
+                command, args, flow_id=flow_id
+            )
+        return _CallFuture(self, command, wire_future)
+
+    def _next_flow_id(self) -> Optional[int]:
+        """In-band RPC id: the worker's handler span echoes it, and the
+        merge layer draws the caller→callee arrow from the pair."""
+        if not self.tracer.enabled:
+            return None
+        self._flow_seq += 1
+        return (self.worker_id + 1) * 1_000_000 + self._flow_seq
+
+    def _rpc_span(self, command: str, flow_id: Optional[int]):
+        """The caller-side span of one RPC, the arrow's tail."""
+        return self.tracer.span(
+            f"rpc.{command}",
+            category="rpc",
+            flow_id=flow_id,
+            flow="out" if flow_id is not None else None,
+            worker=self.worker_id,
+        )
 
     def _call(self, command: str, *args) -> Any:
         attempt = 0
@@ -277,9 +187,9 @@ class WorkerProcessProxy:
         """Kill the worker process to realize an injected crash."""
         try:
             self._process.kill()
+            self._process.join(self._policy.join_timeout)
         except (OSError, AttributeError):
             pass
-        self._process.join(self._policy.join_timeout)
 
     def _fault_preamble(self, command: str) -> bool:
         """Apply injected call faults; returns kill-after-send."""
@@ -305,70 +215,31 @@ class WorkerProcessProxy:
 
     def _call_once(self, command: str, args: tuple) -> Any:
         kill_after_send = self._fault_preamble(command)
-        flow_id = None
-        if self.tracer.enabled:
-            # In-band RPC id: the worker's handler span echoes it, and
-            # the merge layer draws the caller→callee arrow from the pair.
-            self._flow_seq += 1
-            flow_id = (self.worker_id + 1) * 1_000_000 + self._flow_seq
-        with self.tracer.span(
-            f"rpc.{command}",
-            category="rpc",
-            flow_id=flow_id,
-            flow="out" if flow_id is not None else None,
-            worker=self.worker_id,
-        ) as span:
-            status, payload = self._transact(
-                command, args, flow_id, kill_after_send, span
-            )
+        flow_id = self._next_flow_id()
+        with self._rpc_span(command, flow_id) as span:
+            with self._wire_errors(command):
+                status, payload = self._channel.call(
+                    command,
+                    args,
+                    flow_id=flow_id,
+                    post_send=self._fault_kill if kill_after_send else None,
+                    span=span,
+                )
         return self._relay(command, status, payload)
 
-    def _transact(
-        self, command: str, args: tuple, flow_id, kill_after_send: bool, span
-    ) -> Tuple[str, Any]:
-        """One request/response over the pipe, in taxonomy terms.
-
-        Transport-level failures surface as :class:`TransportError`
-        subclasses at the I/O edge and are converted to
-        :class:`WorkerFailure` here — this is the only layer that knows
-        *how* the worker is reached, and the only override point the
-        socket runtime needs.
-        """
+    @contextmanager
+    def _wire_errors(self, command: str):
+        """Map transport failures at the I/O edge to worker failures."""
         try:
-            with self._lock:
-                if self._poisoned:
-                    raise WorkerDiedError(
-                        f"worker {self.worker_id} is poisoned after a "
-                        f"timeout; awaiting respawn",
-                        worker_id=self.worker_id,
-                        command=command,
-                    )
-                if not self._process.is_alive():
-                    raise WorkerDiedError(
-                        f"worker {self.worker_id} process is dead "
-                        f"(exitcode {self._process.exitcode})",
-                        worker_id=self.worker_id,
-                        command=command,
-                    )
-                with mapped_transport_errors(f"{command}"):
-                    self._connection.send((command, args, flow_id))
-                    if kill_after_send:
-                        self._fault_kill()
-                    if not self._connection.poll(self._policy.call_timeout):
-                        self._poisoned = True
-                        raise RpcTimeoutError(
-                            f"worker {self.worker_id} did not answer "
-                            f"{command} within "
-                            f"{self._policy.call_timeout:.1f}s"
-                        )
-                    return self._connection.recv()
+            yield
         except RpcTimeoutError as exc:
             raise WorkerTimeoutError(
                 str(exc), worker_id=self.worker_id, command=command
             ) from exc
         except TransportError as exc:
             raise WorkerDiedError(
-                f"worker {self.worker_id} died during {command}: {exc}",
+                f"worker {self.worker_id} unreachable during {command}: "
+                f"{exc}",
                 worker_id=self.worker_id,
                 command=command,
             ) from exc
@@ -397,9 +268,6 @@ class WorkerProcessProxy:
                 command=command,
             )
         result, telemetry = payload
-        # Tolerate both tuple shapes: the legacy 6-tuple and the current
-        # 7-tuple whose tail is an optional streaming telemetry frame.
-        frame = telemetry[6] if len(telemetry) > 6 else None
         (
             self.resources.current_bytes,
             peak,
@@ -407,7 +275,8 @@ class WorkerProcessProxy:
             self.resources.bdd_nodes,
             self.resources.fib_entries,
             oom,
-        ) = telemetry[:6]
+            frame,
+        ) = telemetry
         self.resources.peak_bytes = max(self.resources.peak_bytes, peak)
         self.resources.oom = self.resources.oom or oom
         if frame is not None and self.telemetry_sink is not None:
@@ -420,40 +289,44 @@ class WorkerProcessProxy:
     # -- supervision ------------------------------------------------------
 
     def is_alive(self) -> bool:
-        return not self._poisoned and self._process.is_alive()
+        if self._process is not None and not self._process.is_alive():
+            return False
+        return self._channel.healthy()
 
     def ping(self) -> bool:
         """Heartbeat: one round trip through the worker's service loop."""
         return self._call("ping") == "pong"
 
     def reap(self) -> None:
-        """Tear down the dead (or doomed) process and its pipe."""
+        """Tear down the channel and the dead (or doomed) process."""
+        self._channel.close()
+        process = self._process
+        if process is None:
+            return
         try:
-            if self._process.is_alive():
-                self._process.terminate()
-                self._process.join(self._policy.join_timeout)
-            if self._process.is_alive():
-                self._process.kill()
-                self._process.join(self._policy.join_timeout)
+            if process.is_alive():
+                process.terminate()
+                process.join(self._policy.join_timeout)
+            if process.is_alive():
+                process.kill()
+                process.join(self._policy.join_timeout)
         except (OSError, AttributeError):
             pass
-        try:
-            self._connection.close()
-        except OSError:
-            pass
 
-    def revive(self, connection, process) -> None:
-        """Adopt a freshly spawned process, keeping the proxy identity.
+    def revive(self, channel: RpcChannel, process) -> None:
+        """Adopt a fresh channel (and process), keeping the proxy identity.
 
         Identity preservation matters: the orchestrators and sidecars
-        hold references to this proxy, so a respawn must swap the pipe
-        and process *inside* it rather than replace it.
+        hold references to this proxy, so a respawn must swap the
+        channel and process *inside* it rather than replace it.
         """
-        with self._lock:
-            self._connection = connection
-            self._process = process
-            self._poisoned = False
+        old, self._channel = self._channel, channel
+        old.close()
+        self._process = process
         self.resources.respawns += 1
+
+    def transport_counters(self) -> Dict[str, int]:
+        return dict(self._channel.counters)
 
     # -- serving ---------------------------------------------------------------
 
@@ -574,247 +447,19 @@ class WorkerProcessProxy:
 
     def stop(self, timeout: float = 5.0) -> None:
         try:
-            with self._lock:
-                if not self._poisoned and self._process.is_alive():
-                    with mapped_transport_errors("stop"):
-                        self._connection.send(("stop", (), None))
-                        if self._connection.poll(timeout):
-                            self._connection.recv()
+            self._channel.call("__stop__", timeout=timeout, internal=True)
         except TransportError:
             pass
-        self._process.join(timeout)
-        if self._process.is_alive():
-            self._process.terminate()
-            self._process.join(timeout)
-        if self._process.is_alive():
+        self._channel.close()
+        process = self._process
+        if process is None:
+            return
+        process.join(timeout)
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout)
+        if process.is_alive():
             # terminate() can be absorbed (e.g. a wedged interpreter):
             # escalate to SIGKILL so close() can never leave a child.
-            self._process.kill()
-            self._process.join(timeout)
-        try:
-            self._connection.close()
-        except OSError:
-            pass
-
-
-class ProcessWorkerPool:
-    """Spawns one process per worker and hands out proxies.
-
-    Also the supervisor's muscle: it can report dead workers, heartbeat
-    the live ones, and respawn a worker in place (the proxy keeps its
-    identity; see :meth:`WorkerProcessProxy.revive`).
-    """
-
-    def __init__(
-        self,
-        snapshot: Snapshot,
-        assignment: Dict[str, int],
-        num_workers: int,
-        capacity: int,
-        cost_model,
-        max_hops: int = 24,
-        retry_policy: Optional[RetryPolicy] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        trace_dir: Optional[str] = None,
-        tracer: Optional[Tracer] = None,
-        telemetry_interval: float = 0.0,
-        telemetry_sink: Optional[Callable[[Dict[str, Any]], Any]] = None,
-    ) -> None:
-        self._context = mp.get_context(
-            "fork" if os.name == "posix" else "spawn"
-        )
-        self._spawn_args = (snapshot, assignment, capacity, cost_model, max_hops)
-        self._policy = retry_policy or RetryPolicy()
-        self._fault_plan = fault_plan
-        self._trace_dir = trace_dir
-        self._telemetry_interval = telemetry_interval
-        # Spawn counts per worker id: a respawned worker's shard carries
-        # the next incarnation number, so its spans stay distinguishable
-        # after merging onto the same process track.
-        self._incarnations: Dict[int, int] = {}
-        # Workers declared permanently lost by the supervisor: excluded
-        # from reconfigure/supervision sweeps (their proxy slot stays so
-        # a later heal-probe respawn can revive them in place).
-        self._lost: set = set()
-        self.proxies: List[WorkerProcessProxy] = []
-        for worker_id in range(num_workers):
-            parent_conn, process = self._spawn(worker_id)
-            self.proxies.append(
-                WorkerProcessProxy(
-                    worker_id,
-                    parent_conn,
-                    process,
-                    WorkerResources(
-                        name=f"worker{worker_id}",
-                        capacity=capacity,
-                        model=cost_model,
-                    ),
-                    policy=self._policy,
-                    fault_plan=fault_plan,
-                    tracer=tracer,
-                    telemetry_sink=telemetry_sink,
-                )
-            )
-
-    def _spawn(self, worker_id: int):
-        snapshot, assignment, capacity, cost_model, max_hops = self._spawn_args
-        incarnation = self._incarnations.get(worker_id, -1) + 1
-        self._incarnations[worker_id] = incarnation
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                worker_id,
-                snapshot,
-                assignment,
-                capacity,
-                cost_model,
-                max_hops,
-                self._trace_dir,
-                incarnation,
-                self._telemetry_interval,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return parent_conn, process
-
-    # -- serving ----------------------------------------------------------
-
-    def update_snapshot(
-        self, snapshot: Snapshot, assignment: Optional[Dict[str, int]] = None
-    ) -> None:
-        """Point future (re)spawns at the current snapshot/assignment.
-
-        The serving layer calls this on *every* delta, including the
-        incremental path that never reconfigures live workers: a worker
-        respawned mid-epoch must be rebuilt from the session's current
-        config, not the boot-time one (it would then fail the epoch
-        fence and recovery would loop).
-        """
-        _old_snapshot, old_assignment, capacity, cost_model, max_hops = (
-            self._spawn_args
-        )
-        self._spawn_args = (
-            snapshot,
-            assignment if assignment is not None else old_assignment,
-            capacity,
-            cost_model,
-            max_hops,
-        )
-
-    def reconfigure(
-        self, snapshot: Snapshot, assignment: Dict[str, int]
-    ) -> None:
-        """Rebind every *live* worker to a new snapshot (logical respawn).
-
-        The processes stay resident; each worker rebuilds its state from
-        the shipped config at the next incarnation.  Raises
-        :class:`~repro.dist.faults.WorkerFailure` if a worker cannot be
-        reached — the caller's supervisor takes over from there.
-        """
-        self.update_snapshot(snapshot, assignment)
-        _snap, _assign, capacity, cost_model, max_hops = self._spawn_args
-        for proxy in self.proxies:
-            if proxy.worker_id in self._lost:
-                continue
-            incarnation = self._incarnations.get(proxy.worker_id, -1) + 1
-            self._incarnations[proxy.worker_id] = incarnation
-            proxy._call(
-                "__configure__",
-                proxy.worker_id,
-                snapshot,
-                assignment,
-                capacity,
-                cost_model,
-                max_hops,
-                self._trace_dir,
-                incarnation,
-                self._telemetry_interval,
-            )
-
-    # -- supervision ------------------------------------------------------
-
-    def mark_lost(self, worker_id: int) -> None:
-        """Blacklist a worker (respawn budget spent, shards migrated).
-
-        The proxy slot is retained — ``respawn`` doubles as the heal
-        probe and clears the mark on success — but every fleet sweep
-        skips the worker until then.
-        """
-        self._lost.add(worker_id)
-
-    @property
-    def lost_workers(self) -> List[int]:
-        return sorted(self._lost)
-
-    def dead_workers(self) -> List[int]:
-        """Worker ids whose process is gone or whose pipe is poisoned
-        (known-lost workers excluded — they are not news)."""
-        return [
-            proxy.worker_id
-            for proxy in self.proxies
-            if proxy.worker_id not in self._lost and not proxy.is_alive()
-        ]
-
-    def ping_all(self) -> List[int]:
-        """Heartbeat every active worker; returns the ids that failed."""
-        failed = []
-        for proxy in self.proxies:
-            if proxy.worker_id in self._lost:
-                continue
-            try:
-                if not proxy.ping():
-                    failed.append(proxy.worker_id)
-            except WorkerFailure:
-                failed.append(proxy.worker_id)
-        return failed
-
-    def respawn(self, worker_id: int) -> WorkerProcessProxy:
-        """Replace a dead worker's process; the proxy identity survives.
-
-        Raises :class:`RespawnError` when the spawn fails (or when a
-        ``respawn_fail`` fault is injected), which the controller treats
-        as the cue to degrade to the sequential fallback.
-        """
-        if self._fault_plan is not None and self._fault_plan.should_fail_respawn(
-            worker_id
-        ):
-            raise RespawnError(
-                f"respawn of worker {worker_id} failed (injected)",
-                worker_id=worker_id,
-            )
-        proxy = self.proxies[worker_id]
-        proxy.reap()
-        try:
-            parent_conn, process = self._spawn(worker_id)
-        except OSError as exc:
-            raise RespawnError(
-                f"respawn of worker {worker_id} failed: {exc!r}",
-                worker_id=worker_id,
-            ) from exc
-        proxy.revive(parent_conn, process)
-        self._lost.discard(worker_id)
-        return proxy
-
-    def close(self) -> None:
-        """Stop every worker; escalate terminate()→kill() as needed.
-
-        Never raises: teardown must succeed even when a proxy call died
-        mid-round and left pipes in arbitrary states.
-        """
-        for proxy in self.proxies:
-            try:
-                proxy.stop(timeout=self._policy.join_timeout)
-            except Exception:  # noqa: BLE001 — best-effort teardown
-                pass
-        for proxy in self.proxies:
-            process = proxy._process
-            try:
-                if process.is_alive():
-                    process.kill()
-                    process.join(self._policy.join_timeout)
-            except (OSError, AttributeError):
-                pass
+            process.kill()
+            process.join(timeout)

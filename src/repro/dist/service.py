@@ -1,21 +1,20 @@
-"""The worker-side service: command dispatch shared by every runtime.
+"""The worker-side service: command dispatch behind every worker listener.
 
-Historically the pipe runtime's ``_worker_main`` owned this logic; the
-socket runtime needs the identical behavior behind a TCP server, so it
-lives here once.  A :class:`WorkerService` starts *unconfigured* — a
-socket worker can be launched as a bare listener (``repro worker``) and
-receive its identity over the wire via ``__configure__`` — and
-reconfiguration is a logical respawn: the old tracer shard is finished
-and a fresh :class:`~repro.dist.worker.Worker` is built at the next
-incarnation.
+Both the forked worker processes of the socket runtime and the
+standalone ``repro worker`` listener serve :meth:`WorkerService.handle`
+behind an :class:`~repro.dist.transport.RpcServer`.  A
+:class:`WorkerService` starts *unconfigured* — a worker can be launched
+as a bare listener and receive its identity over the wire via
+``__configure__`` — and reconfiguration is a logical respawn: the old
+tracer shard is finished and a fresh :class:`~repro.dist.worker.Worker`
+is built at the next incarnation.
 
-``dispatch`` mirrors the original pipe protocol exactly: every response
-is ``("ok", (result, telemetry))`` or ``("exc", (name, message,
-traceback))``, with the telemetry tuple piggybacking the worker's
-resource counters so proxies track memory peaks without extra round
-trips.  When streaming telemetry is enabled the tuple grows a seventh
-element — an interval-gated :mod:`repro.obs.telemetry` frame (or
-``None``) — which proxies forward to the controller's collector.
+Every ``dispatch`` response is ``("ok", (result, telemetry))`` or
+``("exc", (name, message, traceback))``.  The telemetry tuple has seven
+elements: the worker's six resource counters, so proxies track memory
+peaks without extra round trips, and an interval-gated
+:mod:`repro.obs.telemetry` frame (or ``None``), which proxies forward to
+the controller's collector.
 """
 
 from __future__ import annotations
@@ -109,6 +108,15 @@ class WorkerService:
             self._stores[directory] = RouteStore(directory)
         return self._stores[directory]
 
+    def handle(
+        self, command: str, args: tuple, flow_id: Optional[int] = None
+    ) -> Tuple[str, Any]:
+        """The RPC server handler: ``__configure__`` or a worker command."""
+        if command == "__configure__":
+            self.configure(*args)
+            return "ok", None
+        return self.dispatch(command, args, flow_id)
+
     def dispatch(
         self, command: str, args: tuple, flow_id: Optional[int] = None
     ) -> Tuple[str, Any]:
@@ -167,8 +175,8 @@ class WorkerService:
             resources = self.resources
             # PullOutcome travels fine; attach fresh memory telemetry so
             # the proxy mirror can track the peak without extra round
-            # trips.  The optional seventh element is an interval-gated
-            # streaming frame for the controller's collector.
+            # trips.  The seventh element is an interval-gated streaming
+            # frame (or None) for the controller's collector.
             frame = (
                 self.telemetry.maybe_frame(phase=command)
                 if self.telemetry is not None

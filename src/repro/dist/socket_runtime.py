@@ -1,19 +1,15 @@
 """Socket-backed workers: the paper's deployment shape over real TCP.
 
-The process runtime scales out on one machine over ``mp.Pipe``; this
-module puts every worker behind a TCP server speaking the hardened
+Every remote worker sits behind a TCP server speaking the hardened
 framed RPC protocol of :mod:`repro.dist.transport`, so the controller
 and workers can live on different machines — S2's actual deployment
 (§5: one controller plus workers on separate servers).  Localhost is the
 default; pointing ``worker_hosts`` at remote ``host:port`` listeners
 (each started with ``repro worker --listen``) is a config change, not a
-code change.
-
-:class:`SocketWorkerProxy` subclasses the pipe proxy and overrides only
-the transact layer — the supervision stack above it (fault preamble,
-retry loop, relayed exceptions, :class:`WorkerSupervisor` recovery) is
-shared verbatim, which is the point: recovery semantics must not depend
-on the wire.
+code change.  The controller reaches each worker through a
+:class:`~repro.dist.process_runtime.WorkerProcessProxy`, whose
+supervision stack (fault preamble, retry loop, relayed exceptions) is
+what :class:`WorkerSupervisor` recovery builds on.
 
 Two spawn modes:
 
@@ -50,18 +46,11 @@ from .faults import (
     RetryPolicy,
     WorkerDiedError,
     WorkerFailure,
-    WorkerTimeoutError,
 )
 from .process_runtime import WorkerProcessProxy
 from .resources import WorkerResources
 from .service import WorkerService
-from .transport import (
-    RpcChannel,
-    RpcServer,
-    RpcTimeoutError,
-    TransportError,
-    parse_hostport,
-)
+from .transport import RpcChannel, RpcServer, TransportError, parse_hostport
 
 #: Seconds to wait for a freshly forked worker to report its port.
 _HANDSHAKE_TIMEOUT = 30.0
@@ -70,14 +59,7 @@ _HANDSHAKE_TIMEOUT = 30.0
 def _socket_worker_main(handshake, host: str, port: int) -> None:
     """Worker process entry: bind, report the port, serve until stopped."""
     service = WorkerService()
-
-    def handler(command: str, args: tuple, flow_id):
-        if command == "__configure__":
-            service.configure(*args)
-            return "ok", None
-        return service.dispatch(command, args, flow_id)
-
-    server = RpcServer(handler, host=host, port=port)
+    server = RpcServer(service.handle, host=host, port=port)
     try:
         handshake.send((server.host, server.port))
         handshake.close()
@@ -110,18 +92,11 @@ def serve_worker(
     """
     host, port = parse_hostport(listen)
     service = WorkerService()
-
-    def handler(command: str, args: tuple, flow_id):
-        if command == "__configure__":
-            service.configure(*args)
-            return "ok", None
-        return service.dispatch(command, args, flow_id)
-
-    server = RpcServer(handler, host=host, port=port)
+    server = RpcServer(service.handle, host=host, port=port)
     metrics_server = None
     if metrics_listen:
         from ..obs.openmetrics import MetricsHTTPServer
-        from ..obs.telemetry import TelemetryCollector
+        from ..obs.telemetry import TelemetryCollector, TelemetrySource
 
         scrape_metrics = MetricsRegistry()
         collector = TelemetryCollector(scrape_metrics)
@@ -187,182 +162,14 @@ def serve_worker(
         service.finish()
 
 
-class _SocketCallFuture:
-    """Proxy-level future over a wire :class:`RpcFuture`.
-
-    Settling maps transport failures to worker failures and applies the
-    proxy's ``_relay`` (telemetry mirror, exception relaying) — the same
-    post-processing a blocking call would have done inline.
-    """
-
-    __slots__ = ("_proxy", "_command", "_future")
-
-    def __init__(self, proxy, command: str, future) -> None:
-        self._proxy = proxy
-        self._command = command
-        self._future = future
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        del timeout  # the channel enforces its own call deadline
-        try:
-            status, payload = self._future.result()
-        except RpcTimeoutError as exc:
-            raise WorkerTimeoutError(
-                str(exc),
-                worker_id=self._proxy.worker_id,
-                command=self._command,
-            ) from exc
-        except TransportError as exc:
-            raise WorkerDiedError(
-                f"worker {self._proxy.worker_id} unreachable during "
-                f"{self._command}: {exc}",
-                worker_id=self._proxy.worker_id,
-                command=self._command,
-            ) from exc
-        return self._proxy._relay(self._command, status, payload)
-
-
-class SocketWorkerProxy(WorkerProcessProxy):
-    """Controller-side handle for one socket worker.
-
-    Same surface and supervision semantics as the pipe proxy; only the
-    transact layer differs.  No poisoning is needed: the channel's
-    idempotent request ids make stale responses self-identifying, so a
-    timed-out proxy stays usable.
-    """
-
-    def __init__(
-        self,
-        worker_id: int,
-        channel: RpcChannel,
-        process,
-        resources: WorkerResources,
-        policy: Optional[RetryPolicy] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        tracer: Optional[Tracer] = None,
-        telemetry_sink: Optional[Callable[[Dict[str, Any]], Any]] = None,
-    ) -> None:
-        super().__init__(
-            worker_id,
-            connection=None,
-            process=process,
-            resources=resources,
-            policy=policy,
-            fault_plan=fault_plan,
-            tracer=tracer,
-            telemetry_sink=telemetry_sink,
-        )
-        self._channel = channel
-
-    # -- pipelined calls ---------------------------------------------------
-
-    def call_nowait(self, command: str, *args):
-        """True wire pipelining: issue on the channel, relay at result.
-
-        Unlike the pipe proxy (one request in flight per pipe, pipelined
-        by a dispatch thread), the socket channel multiplexes responses
-        by request id, so several requests genuinely share the wire up
-        to ``rpc_window``.  With a fault plan attached we fall back to
-        the thread-backed path so injected call faults keep their exact
-        blocking-call semantics (preamble, transient retries).
-        """
-        if self._fault_plan is not None:
-            return super().call_nowait(command, *args)
-        flow_id = None
-        if self.tracer.enabled:
-            self._flow_seq += 1
-            flow_id = (self.worker_id + 1) * 1_000_000 + self._flow_seq
-        wire_future = self._channel.call_nowait(command, args, flow_id=flow_id)
-        return _SocketCallFuture(self, command, wire_future)
-
-    # -- transact (the only wire-specific layer) --------------------------
-
-    def _transact(
-        self, command: str, args: tuple, flow_id, kill_after_send: bool, span
-    ) -> Tuple[str, Any]:
-        post_send = self._fault_kill if kill_after_send else None
-        try:
-            return self._channel.call(
-                command,
-                args,
-                flow_id=flow_id,
-                post_send=post_send,
-                span=span,
-            )
-        except RpcTimeoutError as exc:
-            raise WorkerTimeoutError(
-                str(exc), worker_id=self.worker_id, command=command
-            ) from exc
-        except TransportError as exc:
-            raise WorkerDiedError(
-                f"worker {self.worker_id} unreachable during {command}: "
-                f"{exc}",
-                worker_id=self.worker_id,
-                command=command,
-            ) from exc
-
-    # -- supervision ------------------------------------------------------
-
-    def is_alive(self) -> bool:
-        if self._process is not None and not self._process.is_alive():
-            return False
-        return self._channel.healthy()
-
-    def reap(self) -> None:
-        self._channel.close()
-        process = self._process
-        if process is None:
-            return
-        try:
-            if process.is_alive():
-                process.terminate()
-                process.join(self._policy.join_timeout)
-            if process.is_alive():
-                process.kill()
-                process.join(self._policy.join_timeout)
-        except (OSError, AttributeError):
-            pass
-
-    def revive(self, channel: RpcChannel, process) -> None:
-        """Adopt a fresh channel (and process); the identity survives."""
-        old, self._channel = self._channel, channel
-        old.close()
-        self._process = process
-        self.resources.respawns += 1
-
-    # -- lifecycle --------------------------------------------------------
-
-    def stop(self, timeout: float = 5.0) -> None:
-        try:
-            self._channel.call("__stop__", timeout=timeout, internal=True)
-        except TransportError:
-            pass
-        self._channel.close()
-        process = self._process
-        if process is None:
-            return
-        process.join(timeout)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout)
-
-    def transport_counters(self) -> Dict[str, int]:
-        return dict(self._channel.counters)
-
-
 class SocketWorkerPool:
     """Spawns (or dials) one TCP worker per id and hands out proxies.
 
-    Mirrors :class:`~repro.dist.process_runtime.ProcessWorkerPool`'s
-    supervision surface (``proxies``, ``dead_workers``, ``ping_all``,
-    ``respawn``, ``close``) so :class:`WorkerSupervisor` treats both
-    interchangeably.
+    Shares the pool surface of :class:`~repro.dist.worker.LocalWorkerPool`
+    (``proxies``, ``respawn``, ``reconfigure``, ``update_snapshot``,
+    ``mark_lost``, ``lost_workers``, ``close``), so the controller and
+    :class:`WorkerSupervisor` treat both interchangeably; ``dead_workers``,
+    ``ping_all`` and ``transport_counters`` are the remote extras.
     """
 
     def __init__(
@@ -419,11 +226,11 @@ class SocketWorkerPool:
                 self._spawn_process(worker_id)
                 for worker_id in range(num_workers)
             ]
-        self.proxies: List[SocketWorkerProxy] = []
+        self.proxies: List[WorkerProcessProxy] = []
         for worker_id, (process, address) in enumerate(spawned):
             channel = self._open_channel(worker_id, address)
             self.proxies.append(
-                SocketWorkerProxy(
+                WorkerProcessProxy(
                     worker_id,
                     channel,
                     process,
@@ -507,10 +314,14 @@ class SocketWorkerPool:
     def update_snapshot(
         self, snapshot: Snapshot, assignment: Optional[Dict[str, int]] = None
     ) -> None:
-        """Point future respawn ``__configure__`` replays at the current
-        snapshot/assignment (see the process pool's docstring: a worker
-        respawned mid-epoch from boot-time args would carry a stale
-        config *and* a stale epoch)."""
+        """Point future (re)spawns at the current snapshot/assignment.
+
+        The serving layer calls this on *every* delta, including the
+        incremental path that never reconfigures live workers: a worker
+        respawned mid-epoch must be rebuilt from the session's current
+        config, not the boot-time one (it would then fail the epoch
+        fence and recovery would loop).
+        """
         _old_snapshot, old_assignment, capacity, cost_model, max_hops = (
             self._configure_args
         )
@@ -582,7 +393,7 @@ class SocketWorkerPool:
                 failed.append(proxy.worker_id)
         return failed
 
-    def respawn(self, worker_id: int) -> SocketWorkerProxy:
+    def respawn(self, worker_id: int) -> WorkerProcessProxy:
         """Give the worker a fresh process (managed) or connection.
 
         In connect mode the listener is assumed to outlive its worker

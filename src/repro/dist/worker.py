@@ -21,6 +21,7 @@ into :class:`~repro.dist.message.PacketEnvelope` batches.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -38,9 +39,15 @@ from ..dataplane.forwarding import (
 )
 from ..dataplane.predicates import compile_predicates
 from ..net.ip import Prefix
+from ..obs.telemetry import TelemetrySource
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..routing.node import RouterNode
-from .faults import FaultPlan, InjectedWorkerCrash, StaleEpochError
+from .faults import (
+    FaultPlan,
+    InjectedWorkerCrash,
+    RespawnError,
+    StaleEpochError,
+)
 from ..routing.ospf import OspfProcess
 from ..routing.route import BgpRoute, Route
 from .message import (
@@ -764,3 +771,129 @@ class Worker:
     @property
     def pending_packets(self) -> int:
         return len(self._buffer) if self._buffer is not None else 0
+
+
+class LocalWorkerPool:
+    """The worker pool surface over in-process workers.
+
+    The counterpart of :class:`~repro.dist.socket_runtime.SocketWorkerPool`
+    for the sequential and threaded runtimes: the workers are their own
+    proxies, a respawn is an in-place :meth:`Worker.reset`, and a
+    reconfigure rebinds every live worker to a new snapshot and
+    assignment.  ``proxies`` keeps every worker, lost ones included, so
+    a rejoin can respawn a lost worker in place.
+    """
+
+    #: In-process workers are always ours to rebuild (see the
+    #: supervisor's respawn budget for unmanaged socket hosts).
+    managed = True
+
+    def __init__(
+        self,
+        workers: Sequence[Worker],
+        fault_plan: Optional[FaultPlan] = None,
+        tracers: Sequence[Tracer] = (),
+    ) -> None:
+        self.proxies = list(workers)
+        self._fault_plan = fault_plan
+        self._tracers = list(tracers)
+        self._lost: Set[int] = set()
+
+    @classmethod
+    def build(
+        cls,
+        snapshot: Snapshot,
+        assignment: Dict[str, int],
+        num_workers: int,
+        capacity: int,
+        cost_model: CostModel,
+        max_hops: int = 24,
+        fault_plan: Optional[FaultPlan] = None,
+        trace_dir: Optional[str] = None,
+        telemetry_interval: float = 0.0,
+        telemetry_sink=None,
+    ) -> "LocalWorkerPool":
+        """Create ``num_workers`` in-process workers and their pool.
+
+        Each worker writes its own trace shard when ``trace_dir`` is set,
+        so the merged timeline has one track per worker regardless of
+        runtime; fault injection happens inside the worker phases.
+        """
+        tracers: List[Tracer] = []
+        if trace_dir:
+            tracers = [
+                Tracer(
+                    process=f"worker{i}",
+                    sink=os.path.join(trace_dir, f"worker{i}.0.jsonl"),
+                )
+                for i in range(num_workers)
+            ]
+        workers = []
+        for i in range(num_workers):
+            worker = Worker(
+                worker_id=i,
+                snapshot=snapshot,
+                assignment=assignment,
+                resources=WorkerResources(
+                    name=f"worker{i}", capacity=capacity, model=cost_model
+                ),
+                max_hops=max_hops,
+                tracer=tracers[i] if tracers else None,
+            )
+            worker.fault_injector = fault_plan
+            if telemetry_interval > 0:
+                worker.attach_telemetry(
+                    TelemetrySource(worker, interval=telemetry_interval),
+                    sink=telemetry_sink,
+                )
+            workers.append(worker)
+        return cls(workers, fault_plan, tracers)
+
+    def update_snapshot(
+        self, snapshot: Snapshot, assignment: Optional[Dict[str, int]] = None
+    ) -> None:
+        """Nothing to do: a reset rebuilds a worker from its own
+        snapshot, which ``rebind_snapshot`` already moved."""
+
+    def reconfigure(
+        self, snapshot: Snapshot, assignment: Dict[str, int]
+    ) -> None:
+        """Rebind every live worker to a new snapshot (logical respawn)."""
+        for worker in self.proxies:
+            if worker.worker_id in self._lost:
+                continue
+            worker.snapshot = snapshot
+            worker.assignment = assignment
+            worker.reset()
+
+    def mark_lost(self, worker_id: int) -> None:
+        """Skip the worker in reconfigure sweeps until it is respawned."""
+        self._lost.add(worker_id)
+
+    @property
+    def lost_workers(self) -> List[int]:
+        return sorted(self._lost)
+
+    def respawn(self, worker_id: int) -> Worker:
+        """Reset the worker in place; the identity survives.
+
+        A ``respawn_fail`` or ``host_loss`` injection is honoured here
+        too, so loss plans stay testable without worker processes.
+        """
+        if self._fault_plan is not None and self._fault_plan.should_fail_respawn(
+            worker_id
+        ):
+            raise RespawnError(
+                f"respawn of worker {worker_id} failed (injected)",
+                worker_id=worker_id,
+            )
+        worker = self.proxies[worker_id]
+        worker.reset()
+        worker.resources.respawns += 1
+        self._lost.discard(worker_id)
+        return worker
+
+    def close(self) -> None:
+        """Finish the per-worker trace shards."""
+        for tracer in self._tracers:
+            tracer.finish()

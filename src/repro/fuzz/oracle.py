@@ -9,7 +9,8 @@ that claim as an executable check: run one generated network through
 * the monolithic engine *with prefix sharding*,
 * the distributed pipeline on the in-process runtimes (sequential and
   threaded), sharded and unsharded,
-* optionally the process-backed runtime (real worker processes),
+* optionally real worker processes (the socket runtime, fault-free, so
+  deliveries take the wire-pipelined path),
 * optionally a run under an injected, recoverable fault plan, and
 * optionally the socket runtime (workers behind TCP servers) under a
   sampled *network* fault plan — partitions, torn frames, reorders,
@@ -256,9 +257,11 @@ class DifferentialOracle:
                   "host_loss": True}),
             )
         if plan.include_process:
+            # Real worker processes with no fault plan: the only variant
+            # that runs the fault-free wire-pipelined exchange.
             variants.append(
                 ("dist-process",
-                 {"kind": "dist", "runtime": "process",
+                 {"kind": "dist", "runtime": "socket",
                   "num_shards": plan.shards}),
             )
         if plan.include_socket:

@@ -121,7 +121,7 @@ class TestDistributedOrdering:
     def test_process_runtime_handles_ospf(self, snapshot, oracle):
         _, expected = oracle
         with S2Controller(
-            snapshot, S2Options(num_workers=2, runtime="process")
+            snapshot, S2Options(num_workers=2, runtime="socket")
         ) as controller:
             controller.run_control_plane()
             got = controller.collected_ribs()

@@ -32,6 +32,16 @@ from tests.conftest import normalize_ribs
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 RUNTIMES = ["sequential", "threaded", "process", "socket"]
+# Options per runtime case.  "process" and "socket" both run real worker
+# processes behind the socket pool; "process" runs them on the dict BDD
+# kernel (the differential oracle), so recovery across the wire is
+# checked on both kernels.
+RUNTIME_OPTIONS = {
+    "sequential": dict(runtime="sequential"),
+    "threaded": dict(runtime="threaded"),
+    "process": dict(runtime="socket", bdd_kernel="dict"),
+    "socket": dict(runtime="socket"),
+}
 # One crash per pipeline stage: BGP phase A, BGP phase B, the shard
 # flush, the data-plane build, and the forwarding superstep.
 CRASH_SITES = [
@@ -47,6 +57,10 @@ def _options(**overrides) -> S2Options:
     defaults = dict(num_workers=3, num_shards=2)
     defaults.update(overrides)
     return S2Options(**defaults)
+
+
+def _runtime_options(runtime: str, **overrides) -> S2Options:
+    return _options(**RUNTIME_OPTIONS[runtime], **overrides)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +83,7 @@ def test_crash_recovery_matrix(site, runtime, fattree4, baseline):
     the results: same reachability verdicts, same RIBs."""
     base_result, base_ribs = baseline
     plan = FaultPlan([FaultSpec(kind="crash", worker=1, command=site)])
-    options = _options(runtime=runtime, fault_plan=plan)
+    options = _runtime_options(runtime, fault_plan=plan)
     with S2Verifier(fattree4, options) as verifier:
         result = verifier.verify()
         ribs = normalize_ribs(verifier.collected_ribs())
@@ -100,7 +114,7 @@ def test_dropped_and_duplicated_batches(runtime, fattree4, baseline):
             FaultSpec(kind="duplicate", worker=2, times=2),
         ]
     )
-    with S2Verifier(fattree4, _options(runtime=runtime, fault_plan=plan)) as v:
+    with S2Verifier(fattree4, _runtime_options(runtime, fault_plan=plan)) as v:
         result = v.verify()
         ribs = normalize_ribs(v.collected_ribs())
     assert result.status == "ok"
@@ -140,7 +154,7 @@ def test_transient_rpc_errors_are_retried(fattree4, baseline):
     policy = RetryPolicy(backoff_base=0.001)
     with S2Controller(
         fattree4,
-        _options(runtime="process", fault_plan=plan, retry_policy=policy),
+        _options(runtime="socket", fault_plan=plan, retry_policy=policy),
     ) as c:
         stats = c.run_control_plane()
         ribs = normalize_ribs(c.collected_ribs())
@@ -152,8 +166,8 @@ def test_transient_rpc_errors_are_retried(fattree4, baseline):
 
 
 def test_crash_after_send_is_recovered(fattree4, baseline):
-    """A worker killed *after* the request was written to its pipe dies
-    mid-command; the proxy reports it and recovery replays the shard."""
+    """A worker killed *after* the request was written to its channel
+    dies mid-command; the proxy reports it and recovery replays the shard."""
     _, base_ribs = baseline
     plan = FaultPlan(
         [
@@ -166,7 +180,7 @@ def test_crash_after_send_is_recovered(fattree4, baseline):
         ]
     )
     with S2Controller(
-        fattree4, _options(runtime="process", fault_plan=plan)
+        fattree4, _options(runtime="socket", fault_plan=plan)
     ) as c:
         stats = c.run_control_plane()
         ribs = normalize_ribs(c.collected_ribs())
@@ -186,7 +200,7 @@ def test_transient_respawn_failure_heals_within_budget(fattree4, baseline):
         ]
     )
     with S2Controller(
-        fattree4, _options(runtime="process", fault_plan=plan)
+        fattree4, _options(runtime="socket", fault_plan=plan)
     ) as c:
         stats = c.run_control_plane()
         ribs = normalize_ribs(c.collected_ribs())
@@ -215,7 +229,7 @@ def test_respawn_failure_degrades_to_sequential(runtime, fattree4, baseline):
         ]
     )
     with S2Controller(
-        fattree4, _options(runtime=runtime, fault_plan=plan)
+        fattree4, _runtime_options(runtime, fault_plan=plan)
     ) as c:
         stats = c.run_control_plane()
         ribs = normalize_ribs(c.collected_ribs())
@@ -240,7 +254,7 @@ def test_permanent_loss_matrix(site, runtime, fattree4, baseline):
             )
         ]
     )
-    options = _options(runtime=runtime, fault_plan=plan)
+    options = _runtime_options(runtime, fault_plan=plan)
     with S2Verifier(fattree4, options) as verifier:
         result = verifier.verify()
         ribs = normalize_ribs(verifier.collected_ribs())
@@ -308,7 +322,7 @@ def test_lost_worker_rejoins_after_heal(fattree4, baseline):
         ]
     )
     with S2Controller(
-        fattree4, _options(runtime="process", fault_plan=plan)
+        fattree4, _options(runtime="socket", fault_plan=plan)
     ) as c:
         stats = c.run_control_plane()
         assert not stats.sequential_fallback
@@ -477,7 +491,7 @@ def test_options_fingerprint_ignores_supervision_knobs(fattree4):
     tweaked = S2Options(
         num_workers=3,
         num_shards=4,
-        runtime="process",
+        runtime="socket",
         fault_plan=FaultPlan([FaultSpec(kind="crash")]),
         retry_policy=RetryPolicy(call_timeout=1.0),
     )
@@ -648,11 +662,11 @@ def test_in_process_crash_raises_worker_failure(fattree4):
     assert excinfo.value.command == "compute_exports"
 
 
-# -- process pool supervision ----------------------------------------------
+# -- worker pool supervision -----------------------------------------------
 
 
 def test_pool_detects_and_respawns_dead_worker(fattree4):
-    with S2Controller(fattree4, _options(runtime="process")) as controller:
+    with S2Controller(fattree4, _options(runtime="socket")) as controller:
         pool = controller._pool
         assert pool.dead_workers() == []
         assert pool.ping_all() == []
@@ -669,23 +683,19 @@ def test_pool_detects_and_respawns_dead_worker(fattree4):
 
 
 def test_pool_close_leaves_no_processes(fattree4):
-    controller = S2Controller(fattree4, _options(runtime="process"))
-    processes = [proxy._process for proxy in controller._pool.proxies]
+    """Close stops every process the pool ever started: a respawned
+    worker's replacement as well as the one it replaced."""
+    controller = S2Controller(fattree4, _options(runtime="socket"))
+    proxy = controller._pool.proxies[1]
+    replaced = proxy._process
+    controller._pool.respawn(1)
+    processes = [p._process for p in controller._pool.proxies]
+    assert replaced not in processes
     assert all(process.is_alive() for process in processes)
     controller.close()
+    assert not replaced.is_alive()
     assert not any(process.is_alive() for process in processes)
     controller.close()  # idempotent
-
-
-def test_poisoned_proxy_refuses_calls_until_revived(fattree4):
-    with S2Controller(fattree4, _options(runtime="process")) as controller:
-        proxy = controller._pool.proxies[0]
-        proxy._poisoned = True                    # as a timeout would
-        assert not proxy.is_alive()
-        with pytest.raises(WorkerDiedError, match="poisoned"):
-            proxy.ping()
-        controller._pool.respawn(0)
-        assert proxy.ping()
 
 
 # -- enriched ConvergenceError ---------------------------------------------

@@ -2,7 +2,7 @@
 
 Covers the tracer's span nesting and no-op guard, metrics percentiles,
 shard merging (including torn lines and respawned-worker incarnations),
-the traced process-runtime pipeline with cross-process RPC stitching,
+the traced socket-runtime pipeline with cross-process RPC stitching,
 and the ``repro report`` CLI round-trip.
 """
 
@@ -316,7 +316,7 @@ class TestTracedPipeline:
         options = S2Options(
             num_workers=2,
             num_shards=2,
-            runtime="process",
+            runtime="socket",
             trace_out=trace_out,
             metrics_out=metrics_out,
         )

@@ -1,5 +1,12 @@
-"""Tests for the process-backed worker runtime (one OS process per worker)."""
+"""Tests for the worker-process proxy (one OS process per worker).
 
+Every remote worker runs behind the socket runtime's pool; these tests
+cover what the proxy in :mod:`repro.dist.process_runtime` adds on top of
+the wire: results, relayed failures, the resource mirror, and the
+worker-side shard flush.
+"""
+
+import multiprocessing
 import os
 
 import pytest
@@ -7,19 +14,16 @@ import pytest
 from tests.conftest import normalize_ribs
 from repro.dataplane.queries import Query
 from repro.dist.controller import S2Controller, S2Options
-from repro.dist.process_runtime import (
-    ProcessWorkerPool,
-    RemoteWorkerError,
-    WorkerProcessProxy,
-)
-from repro.dist.resources import CostModel, SimulatedOOM
+from repro.dist.process_runtime import RemoteWorkerError, WorkerProcessProxy
+from repro.dist.resources import CostModel
+from repro.dist.socket_runtime import SocketWorkerPool
 
 
 @pytest.fixture()
 def process_controller(fattree4):
     controller = S2Controller(
         fattree4,
-        S2Options(num_workers=3, num_shards=2, runtime="process"),
+        S2Options(num_workers=3, num_shards=2, runtime="socket"),
     )
     yield controller
     controller.close()
@@ -42,7 +46,7 @@ class TestProcessCluster:
         from repro.core.s2 import verify_snapshot
 
         result = verify_snapshot(
-            fattree4, S2Options(num_workers=3, num_shards=2, runtime="process")
+            fattree4, S2Options(num_workers=3, num_shards=2, runtime="socket")
         )
         assert result.ok
         assert result.reachable_pairs == 64
@@ -59,7 +63,7 @@ class TestProcessCluster:
 
         result = verify_snapshot(
             fattree4,
-            S2Options(num_workers=2, runtime="process", worker_capacity=1),
+            S2Options(num_workers=2, runtime="socket", worker_capacity=1),
         )
         assert result.status == "oom"
 
@@ -74,13 +78,17 @@ class TestProcessCluster:
         assert report.total_rpc_bytes > 0
 
     def test_processes_die_on_close(self, fattree4):
+        """After a control-plane run, close stops every worker process
+        and the proxies the orchestrators hold report them gone."""
         controller = S2Controller(
-            fattree4, S2Options(num_workers=2, runtime="process")
+            fattree4, S2Options(num_workers=2, runtime="socket")
         )
+        controller.run_control_plane()
         processes = [w._process for w in controller.workers]
         assert all(p.is_alive() for p in processes)
         controller.close()
         assert all(not p.is_alive() for p in processes)
+        assert not any(w.is_alive() for w in controller.workers)
 
     def test_remote_error_surfaces(self, process_controller):
         proxy = process_controller.workers[0]
@@ -100,7 +108,7 @@ class TestPoolDirect:
         from repro.dist.partition import partition
 
         assignment = partition(fattree4, 2).assignment
-        pool = ProcessWorkerPool(
+        pool = SocketWorkerPool(
             snapshot=fattree4,
             assignment=assignment,
             num_workers=2,
@@ -118,12 +126,25 @@ class TestPoolDirect:
         from repro.dist.partition import partition
 
         assignment = partition(fattree4, 1).assignment
-        pool = ProcessWorkerPool(
+        pool = SocketWorkerPool(
             snapshot=fattree4,
             assignment=assignment,
             num_workers=1,
             capacity=1 << 62,
             cost_model=CostModel(),
         )
+        proxy = pool.proxies[0]
+        proxy.stop()
+        assert not proxy.is_alive()
+        proxy.stop()  # a second stop must not raise
         pool.close()
-        pool.close()  # second close must not raise
+        pool.close()  # nor a close after the workers are stopped
+
+
+def test_pipe_runtime_is_refused(fattree4):
+    """The pipe runtime is gone: asking for it is a usage error raised
+    before any worker process is forked."""
+    before = set(multiprocessing.active_children())
+    with pytest.raises(ValueError, match="process"):
+        S2Controller(fattree4, S2Options(num_workers=2, runtime="process"))
+    assert set(multiprocessing.active_children()) <= before

@@ -124,7 +124,7 @@ def test_socket_session_under_sampled_chaos(ft4, ft4_texts, seed):
 
 def test_process_session_survives_worker_kill(ft4, ft4_texts):
     options = S2Options(
-        num_workers=NUM_WORKERS, num_shards=NUM_SHARDS, runtime="process"
+        num_workers=NUM_WORKERS, num_shards=NUM_SHARDS, runtime="socket"
     )
     with VerifierSession(ft4, options) as session:
         _drive(session, ft4, ft4_texts, kill_worker=True)

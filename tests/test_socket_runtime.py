@@ -132,14 +132,7 @@ class _Listener:
 
     def __init__(self):
         self.service = WorkerService()
-
-        def handler(command, args, flow_id):
-            if command == "__configure__":
-                self.service.configure(*args)
-                return "ok", None
-            return self.service.dispatch(command, args, flow_id)
-
-        self.server = RpcServer(handler)
+        self.server = RpcServer(self.service.handle)
         self.thread = threading.Thread(
             target=self.server.serve_forever, daemon=True
         )
@@ -229,6 +222,48 @@ def test_repro_worker_subprocess_serves_and_stops():
             proc.wait(5.0)
 
 
+def test_repro_worker_metrics_scrape_after_configure(fattree4):
+    """A configured standalone worker serves its live frame on the
+    scrape endpoint (the scrape folds a fresh frame on demand)."""
+    import urllib.request
+
+    from repro.dist.resources import CostModel
+
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", "--listen", "127.0.0.1:0",
+         "--metrics-listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    try:
+        metrics_url = proc.stdout.readline().strip().rpartition(" ")[2]
+        banner = proc.stdout.readline().strip()
+        host, _, port = banner.rpartition(" ")[2].rpartition(":")
+        channel = RpcChannel((host, int(port)))
+        try:
+            assignment = {name: 0 for name in fattree4.configs}
+            status, _ = channel.call(
+                "__configure__",
+                (0, fattree4, assignment, 1 << 62, CostModel(), 24),
+                internal=True,
+            )
+            assert status == "ok"
+            with urllib.request.urlopen(metrics_url, timeout=10.0) as reply:
+                assert reply.status == 200
+                assert 'worker="0"' in reply.read().decode("utf-8")
+            channel.call("__stop__", internal=True)
+        finally:
+            channel.close()
+        assert proc.wait(timeout=10.0) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(5.0)
+
+
 # -- CLI --------------------------------------------------------------------
 
 
@@ -278,7 +313,7 @@ def test_cli_worker_hosts_requires_socket_runtime(capsys):
             "--k",
             "4",
             "--runtime",
-            "process",
+            "threaded",
             "--worker-hosts",
             "127.0.0.1:9001",
         ]
