@@ -28,7 +28,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..bdd.headerspace import HeaderEncoding
 from ..config.loader import Snapshot
@@ -41,6 +41,7 @@ from ..routing.engine import BgpResult
 from ..routing.route import BgpRoute
 from .cpo import ControlPlaneOrchestrator, ControlPlaneStats
 from .dpo import DataPlaneOrchestrator, DataPlaneStats
+from .fleet import Fleet
 from .faults import (
     FaultPlan,
     RespawnError,
@@ -163,22 +164,20 @@ class WorkerSupervisor:
 
     def __init__(
         self,
-        workers: Sequence[Any],
+        fleet: Fleet,
         store: RouteStore,
         pool=None,
         persistent: bool = False,
-        sidecars: Optional[Sequence[Sidecar]] = None,
         policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        self.workers = list(workers)
+        self.fleet = fleet
         self.store = store
         self.pool = (
             pool if pool is not None
-            else LocalWorkerPool(self.workers, fault_plan)
+            else LocalWorkerPool(fleet.workers, fault_plan)
         )
         self.persistent = persistent
-        self.sidecars = list(sidecars) if sidecars else []
         self.policy = policy or RetryPolicy()
         self._ospf_states: Dict[int, Any] = {}
         self.recoveries = 0
@@ -187,9 +186,6 @@ class WorkerSupervisor:
         # remove the worker from the fleet (migrating its state) or
         # raise; installed by :class:`S2Controller`.
         self.on_loss: Optional[Any] = None
-        # Serving mode: the epoch a recovered worker must be re-seeded
-        # to before it may rejoin the fixed point.  None outside serving.
-        self.epoch: Optional[int] = None
         self.stale_epoch_rejections = 0
         # Serving mode: the session's event journal, when attached —
         # respawns and stale-epoch rejections become typed records.
@@ -199,7 +195,7 @@ class WorkerSupervisor:
 
     def checkpoint_ospf(self) -> None:
         """Capture every worker's installed IGP routes (once, post-IGP)."""
-        for worker in self.workers:
+        for worker in self.fleet.workers:
             state = worker.export_ospf_state()
             self._ospf_states[worker.worker_id] = state
             if self.persistent:
@@ -212,25 +208,17 @@ class WorkerSupervisor:
         case the caller falls back to re-running the IGP fixed point.
         """
         states: Dict[int, Any] = {}
-        for worker in self.workers:
+        for worker in self.fleet.workers:
             state = self.store.read_ospf_state(worker.worker_id)
             if state is None:
                 return False
             states[worker.worker_id] = state
-        for worker in self.workers:
+        for worker in self.fleet.workers:
             worker.restore_ospf_state(states[worker.worker_id])
         self._ospf_states = states
         return True
 
     # -- recovery ---------------------------------------------------------
-
-    def _worker_by_id(self, worker_id: int):
-        """The active worker with this id, or None (lists shrink on loss,
-        so positional indexing stopped being valid)."""
-        for worker in self.workers:
-            if worker.worker_id == worker_id:
-                return worker
-        return None
 
     def recover(self, failure: WorkerFailure) -> None:
         """Bring the failed worker back; raises RespawnError on failure.
@@ -240,7 +228,7 @@ class WorkerSupervisor:
         so the caller's retry loop replays the unit on the survivors.
         """
         worker_id = failure.worker_id
-        if worker_id is None or self._worker_by_id(worker_id) is None:
+        if worker_id is None or self.fleet.worker(worker_id) is None:
             raise failure
         self.recoveries += 1
         if isinstance(failure, StaleEpochError):
@@ -249,7 +237,7 @@ class WorkerSupervisor:
                 self.journal.record(
                     "stale_epoch_rejection",
                     worker=worker_id,
-                    epoch=self.epoch,
+                    epoch=self.fleet.epoch,
                     command=failure.command,
                 )
         if self.journal is not None:
@@ -257,7 +245,7 @@ class WorkerSupervisor:
                 "worker_respawn",
                 worker=worker_id,
                 reason=type(failure).__name__,
-                epoch=self.epoch,
+                epoch=self.fleet.epoch,
                 recoveries=self.recoveries,
             )
         budget = max(1, self.policy.respawn_budget)
@@ -276,18 +264,18 @@ class WorkerSupervisor:
                     continue
                 self.declare_lost(worker_id, exc)
                 return
-        worker = self._worker_by_id(worker_id)
+        worker = self.fleet.worker(worker_id)
         worker.restore_ospf_state(self._ospf_states.get(worker_id))
-        if self.epoch is not None:
+        if self.fleet.epoch is not None:
             # Fresh execution contexts come up at epoch -1 (stale by
             # construction); re-seed before the shard replay so the
             # fence admits the recovered worker.
-            worker.begin_epoch(self.epoch)
+            worker.begin_epoch(self.fleet.epoch)
         # The respawned worker lost its receive-side memory: every
         # surviving sender's dedup cache toward it would under-charge
         # (and a real dedup transport would dangle), so invalidate on
         # the incarnation change.
-        for sidecar in self.sidecars:
+        for sidecar in self.fleet.sidecars:
             sidecar.on_peer_respawn(worker_id)
 
     def declare_lost(self, worker_id: int, cause: RespawnError) -> None:
@@ -299,8 +287,8 @@ class WorkerSupervisor:
                 "worker_lost",
                 worker=worker_id,
                 reason=str(cause),
-                epoch=self.epoch,
-                survivors=max(0, len(self.workers) - 1),
+                epoch=self.fleet.epoch,
+                survivors=max(0, len(self.fleet.workers) - 1),
             )
         if self.on_loss is None:
             raise cause
@@ -314,7 +302,8 @@ class WorkerSupervisor:
         checkpointed by the dead worker; ``restore_ospf_state`` ignores
         hostnames the worker doesn't own, so the union is safe to replay
         everywhere — and it keeps each per-worker checkpoint
-        self-sufficient for the *next* recovery.
+        self-sufficient for the *next* recovery.  Only active workers
+        keep a checkpoint afterwards.
         """
         union: Dict[str, Any] = {}
         for state in self._ospf_states.values():
@@ -322,9 +311,11 @@ class WorkerSupervisor:
                 union.update(state)
         if not union:
             return
-        for worker in self.workers:
+        self._ospf_states = {
+            worker.worker_id: dict(union) for worker in self.fleet.workers
+        }
+        for worker in self.fleet.workers:
             worker.restore_ospf_state(dict(union))
-            self._ospf_states[worker.worker_id] = dict(union)
             if self.persistent:
                 self.store.write_ospf_state(worker.worker_id, dict(union))
 
@@ -422,13 +413,11 @@ class S2Controller:
                 telemetry_interval=telemetry_interval,
                 telemetry_sink=self.telemetry.ingest,
             )
-        self.workers: List[Any] = list(self._pool.proxies)
-        self.sidecars = [
+        sidecars = [
             Sidecar(worker, fault_plan=opts.fault_plan, metrics=self.metrics)
-            for worker in self.workers
+            for worker in self._pool.proxies
         ]
-        for sidecar in self.sidecars:
-            sidecar.register_peers(self.sidecars)
+        self.fleet = Fleet(self._pool.proxies, sidecars)
         self.shards: List[PrefixShard] = []
         if opts.num_shards and opts.num_shards > 1:
             self.shards = make_shards(snapshot, opts.num_shards, seed=opts.seed)
@@ -465,48 +454,36 @@ class S2Controller:
             )
             self.store.write_manifest(self.manifest)
         self.supervisor = WorkerSupervisor(
-            self.workers,
+            self.fleet,
             self.store,
             pool=self._pool,
             persistent=persistent,
-            sidecars=self.sidecars,
             policy=opts.retry_policy,
             fault_plan=opts.fault_plan,
         )
-        # Permanently lost workers: worker_id -> (worker, sidecar), kept
-        # so their final stats stay reportable and a healed host can
-        # rejoin with its original identity.
-        self.lost: Dict[int, Tuple[Any, Sidecar]] = {}
-        self.lost_reasons: Dict[int, str] = {}
         self.supervisor.on_loss = self._handle_worker_loss
-        self.cpo = ControlPlaneOrchestrator(
-            self.workers,
-            self.sidecars,
-            self.store,
-            runtime=self.runtime,
-            max_rounds=opts.max_rounds,
-            fault_plan=opts.fault_plan,
-            supervisor=self.supervisor,
-            retry_policy=opts.retry_policy,
-            manifest=self.manifest,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
+        self.make_cpo(self.manifest)
         self.dpo = DataPlaneOrchestrator(
-            self.workers,
-            self.sidecars,
+            self.fleet,
             snapshot,
+            self.supervisor,
             encoding=opts.encoding,
             runtime=self.runtime,
             node_limit=opts.node_limit,
             controller_node_limit=opts.controller_node_limit,
             bdd_kernel=opts.bdd_kernel,
-            supervisor=self.supervisor,
             retry_policy=opts.retry_policy,
             tracer=self.tracer,
             metrics=self.metrics,
         )
-        self._cp_done = False
+
+    @property
+    def workers(self) -> List[Any]:
+        return self.fleet.workers
+
+    @property
+    def sidecars(self) -> List[Sidecar]:
+        return self.fleet.sidecars
 
     def _observe_fault(
         self, kind: str, worker_id: Optional[int], command: Optional[str]
@@ -549,7 +526,7 @@ class S2Controller:
         A worker declared *lost* during recovery needs no retry — the
         migration already rebuilt the survivors.
         """
-        for worker in list(self.workers):
+        for worker in list(self.fleet.workers):
             worker_id = worker.worker_id
             try:
                 fn(worker)
@@ -557,7 +534,7 @@ class S2Controller:
                 if failure.worker_id is None:
                     failure.worker_id = worker_id
                 self.supervisor.recover(failure)
-                if any(w.worker_id == worker_id for w in self.workers):
+                if self.fleet.worker(worker_id) is not None:
                     fn(worker)
 
     def begin_epoch(self, epoch: int) -> None:
@@ -568,8 +545,7 @@ class S2Controller:
         partition survivor) raises :class:`StaleEpochError` and goes
         through supervisor recovery before touching the shard.
         """
-        self.supervisor.epoch = epoch
-        self.cpo.epoch = epoch
+        self.fleet.epoch = epoch
         self._on_each_worker(lambda worker: worker.begin_epoch(epoch))
 
     def make_cpo(
@@ -579,26 +555,24 @@ class S2Controller:
 
         Serving reruns the control plane once per committed delta and
         wants per-epoch stats, so each recompute gets its own CPO while
-        the workers, sidecars, runtime, and supervisor carry over.
+        the fleet, runtime, and supervisor carry over.
         """
         opts = self.options
         self.manifest = manifest
         self.cpo = ControlPlaneOrchestrator(
-            self.workers,
-            self.sidecars,
+            self.fleet,
             self.store,
+            self.supervisor,
             runtime=self.runtime,
             max_rounds=opts.max_rounds,
             fault_plan=opts.fault_plan,
-            supervisor=self.supervisor,
             retry_policy=opts.retry_policy,
             manifest=manifest,
             tracer=self.tracer,
             metrics=self.metrics,
         )
         if epoch is not None:
-            self.cpo.epoch = epoch
-            self.supervisor.epoch = epoch
+            self.fleet.epoch = epoch
         self._cp_done = False
         return self.cpo
 
@@ -624,8 +598,7 @@ class S2Controller:
             lambda worker: worker.rebind_snapshot(snapshot, changed, epoch)
         )
         if epoch is not None:
-            self.supervisor.epoch = epoch
-            self.cpo.epoch = epoch
+            self.fleet.epoch = epoch
         self.dpo.invalidate(snapshot)
         self._cp_done = False
 
@@ -639,28 +612,7 @@ class S2Controller:
         """
         opts = self.options
         self.snapshot = snapshot
-        self.partition = partition(
-            snapshot,
-            opts.num_workers,
-            scheme=opts.partition_scheme,
-            seed=opts.seed,
-        )
-        # A shrunken fleet keeps its reassignment overlay across deltas:
-        # re-plan the canonical partition around the workers still lost.
-        if self.lost:
-            loads = estimate_loads(snapshot)
-            active_ids = [w.worker_id for w in self.workers]
-            for lost_id in sorted(self.lost):
-                self.partition = PartitionResult(
-                    assignment=plan_reassignment(
-                        self.partition.assignment,
-                        lost_id,
-                        active_ids,
-                        node_loads=loads,
-                    ),
-                    num_workers=self.partition.num_workers,
-                    scheme=self.partition.scheme,
-                )
+        self.partition = self._plan_partition()
         # Old-snapshot IGP checkpoints are meaningless for the new one;
         # drop them *before* any recovery so a respawn mid-reconfigure
         # doesn't restore stale OSPF state.
@@ -688,18 +640,42 @@ class S2Controller:
 
     def capacity(self) -> Dict[str, Any]:
         """Degraded-capacity summary (serving surfaces re-export this)."""
-        active = len(self.workers)
-        lost = len(self.lost)
+        active = len(self.fleet.workers)
+        lost = len(self.fleet.lost)
         total = active + lost
         return {
             "active_workers": active,
             "lost_workers": lost,
             "capacity_ratio": (active / total) if total else 0.0,
             "lost": {
-                str(worker_id): self.lost_reasons.get(worker_id, "")
-                for worker_id in sorted(self.lost)
+                str(worker_id): entry.reason
+                for worker_id, entry in sorted(self.fleet.lost.items())
             },
         }
+
+    def _plan_partition(self) -> PartitionResult:
+        """The one partition rule for the current snapshot and fleet.
+
+        The canonical partition, re-planned around each lost worker in
+        loss order over the active ids: a full reconfigure, a loss and a
+        rejoin all land on the same assignment for the same membership.
+        """
+        opts = self.options
+        result = partition(
+            self.snapshot,
+            opts.num_workers,
+            scheme=opts.partition_scheme,
+            seed=opts.seed,
+        )
+        if not self.fleet.lost:
+            return result
+        assignment = result.assignment
+        loads = estimate_loads(self.snapshot)
+        for lost_id in self.fleet.lost:
+            assignment = plan_reassignment(
+                assignment, lost_id, self.fleet.active_ids, node_loads=loads
+            )
+        return PartitionResult(assignment, result.num_workers, result.scheme)
 
     def _handle_worker_loss(
         self, worker_id: int, cause: WorkerFailure
@@ -707,89 +683,98 @@ class S2Controller:
         """Migrate a dead worker's shards to the survivors.
 
         Installed as the supervisor's ``on_loss`` hook.  The run stays
-        *distributed*: the lost worker's nodes are reassigned across the
-        survivors (heaviest first), its persisted shard files merge into
-        the adopters', the union OSPF checkpoint replays everywhere, and
-        the caller's retry loop replays the interrupted unit on the
-        shrunken fleet.  Raises :class:`RespawnError` when no survivors
-        remain — the sequential fallback's cue.
+        *distributed*: the worker leaves the fleet and :meth:`_rebuild`
+        moves its nodes and shard files onto the survivors; the caller's
+        retry loop then replays the interrupted unit on the shrunken
+        fleet.  Raises :class:`RespawnError` when no survivors remain —
+        the sequential fallback's cue.
         """
-        survivors = [w for w in self.workers if w.worker_id != worker_id]
-        if not survivors:
+        if self.fleet.active_ids == [worker_id]:
             raise RespawnError(
                 f"worker {worker_id} is lost and no survivors remain",
                 worker_id=worker_id,
             )
-        lost_worker = next(
-            w for w in self.workers if w.worker_id == worker_id
-        )
-        lost_sidecar = next(
-            s for s in self.sidecars if s.worker_id == worker_id
-        )
-        orphans = [
-            node
-            for node, owner in self.partition.assignment.items()
-            if owner == worker_id
-        ]
-        new_assignment = plan_reassignment(
-            self.partition.assignment,
-            worker_id,
-            [w.worker_id for w in survivors],
-            node_loads=estimate_loads(self.snapshot),
-        )
-        self.partition = PartitionResult(
-            assignment=new_assignment,
-            num_workers=self.partition.num_workers,
-            scheme=self.partition.scheme,
-        )
-        # Quarantine the dead worker: freeze its identity + stats, and
-        # drop it from every holder.  Pool proxy lists stay full-length
-        # (respawn indexes positionally); the pool just marks it lost.
-        self.lost[worker_id] = (lost_worker, lost_sidecar)
-        self.lost_reasons[worker_id] = f"{type(cause).__name__}: {cause}"
-        self.workers = survivors
-        self.sidecars = [
-            s for s in self.sidecars if s.worker_id != worker_id
-        ]
-        for sidecar in self.sidecars:
-            sidecar.register_peers(self.sidecars)
-        self.supervisor.workers = list(self.workers)
-        self.supervisor.sidecars = list(self.sidecars)
-        self.cpo.drop_worker(worker_id)
-        self.dpo.drop_worker(worker_id)
-        self._pool.mark_lost(worker_id)
-        migrated = self._migrate_store_files(worker_id, new_assignment)
+        self.fleet.lose(worker_id, f"{type(cause).__name__}: {cause}")
         # Account the loss *before* rebuilding the survivors: a cascade
         # (another worker dying during the rebuild) must not erase the
         # record of this one.
         self.cpo.stats.workers_lost += 1
-        self.cpo.stats.shards_reassigned += migrated
         self.metrics.counter("cluster.workers_lost").inc()
-        self.metrics.gauge("cluster.active_workers").set(len(self.workers))
-        self.tracer.instant(
-            "worker.lost",
-            worker=worker_id,
-            survivors=len(self.workers),
-            shards=migrated,
+        self._rebuild(worker_id)
+
+    def rejoin_worker(
+        self, worker_id: int, epoch: Optional[int] = None
+    ) -> bool:
+        """Probe a lost worker's host and rebalance shards back onto it.
+
+        Returns False while the host is still down (the caller re-arms
+        its backoff timer).  On success the worker rejoins the fleet
+        (at ``epoch``, when given) and :meth:`_rebuild` restores the
+        partition for the now-larger fleet.
+        """
+        if worker_id not in self.fleet.lost:
+            raise ValueError(f"worker {worker_id} is not lost")
+        try:
+            self._pool.respawn(worker_id)
+        except RespawnError:
+            return False
+        self.fleet.rejoin(worker_id)
+        if epoch is not None:
+            self.fleet.epoch = epoch
+        self._rebuild(worker_id)
+        return True
+
+    def _rebuild(self, worker_id: int) -> None:
+        """Rebuild the fleet after ``worker_id`` was lost or rejoined.
+
+        Re-plans the partition, re-keys the store's shard files to it,
+        logically respawns every active worker on the new assignment,
+        replays the merged IGP checkpoint, re-seeds the serving epoch so
+        the fence admits them, and invalidates the data plane.
+        """
+        lost = worker_id in self.fleet.lost
+        nodes = sum(
+            1 for owner in self.partition.assignment.values()
+            if owner == worker_id
         )
-        if self.supervisor.journal is not None:
-            self.supervisor.journal.record(
-                "shard_reassigned",
-                worker=worker_id,
-                shards=migrated,
-                nodes=len(orphans),
-                survivors=len(self.workers),
-            )
-        # The survivors' node sets changed: logically respawn them on
-        # the new assignment, replay the merged IGP checkpoint, and
-        # re-seed the serving epoch so the fence admits them.
+        self.partition = self._plan_partition()
+        shards = self._repartition_store(worker_id if lost else None)
+        if lost:
+            self.cpo.stats.shards_reassigned += shards
         self._reconfigure_active()
         self.supervisor.merge_ospf_checkpoints()
-        self.supervisor._ospf_states.pop(worker_id, None)
-        if self.supervisor.epoch is not None:
-            for worker in self.workers:
-                worker.begin_epoch(self.supervisor.epoch)
+        epoch = self.fleet.epoch
+        if epoch is not None:
+            for worker in self.fleet.workers:
+                worker.begin_epoch(epoch)
         self.dpo.invalidate()
+        active = len(self.fleet.workers)
+        self.metrics.gauge("cluster.active_workers").set(active)
+        journal = self.supervisor.journal
+        if lost:
+            self.tracer.instant(
+                "worker.lost", worker=worker_id, survivors=active,
+                shards=shards,
+            )
+            if journal is not None:
+                journal.record(
+                    "shard_reassigned",
+                    worker=worker_id,
+                    shards=shards,
+                    nodes=nodes,
+                    survivors=active,
+                )
+        else:
+            self.tracer.instant(
+                "worker.rejoined", worker=worker_id, active=active
+            )
+            if journal is not None:
+                journal.record(
+                    "worker_rejoined",
+                    worker=worker_id,
+                    epoch=epoch,
+                    active=active,
+                )
 
     def _reconfigure_active(self) -> None:
         """Logically respawn every *active* worker on the current
@@ -804,150 +789,54 @@ class S2Controller:
                 # Refetched every attempt: a recovery that declared a
                 # worker lost re-planned the assignment under us.
                 self._pool.reconfigure(
-                    self.snapshot, self.partition.assignment
+                    self.snapshot,
+                    self.partition.assignment,
+                    self.fleet.active_ids,
                 )
                 break
             except WorkerFailure as failure:
                 attempts += 1
-                if attempts > len(self.workers):
+                if attempts > len(self.fleet.workers):
                     raise
                 self.supervisor.recover(failure)
         # Every active worker was rebuilt: receive-side sequence and
         # dedup memory is gone everywhere, so every sender's caches go.
-        for sidecar in self.sidecars:
+        for sidecar in self.fleet.sidecars:
             sidecar.invalidate_send_caches()
 
-    def _migrate_store_files(
-        self, worker_id: int, assignment: Dict[str, int]
-    ) -> int:
-        """Merge the lost worker's flushed shard files into the adopters'.
-
-        ``collected_ribs`` and ``build_dataplane`` read per-worker merged
-        stores, so after migration the survivors' files must jointly
-        cover every node the dead worker owned.  Returns the number of
-        shard files migrated.
-        """
-        migrated = 0
-        for shard_index in self.store.worker_shard_indices(worker_id):
-            routes = self.store.read_shard(worker_id, shard_index)
-            adopted: Dict[int, ShardRoutes] = {}
-            for node, prefixes in routes.items():
-                owner = assignment.get(node)
-                if owner is None or owner == worker_id:
-                    continue
-                adopted.setdefault(owner, {})[node] = prefixes
-            for owner, nodes in sorted(adopted.items()):
-                self.store.merge_into_shard(owner, shard_index, nodes)
-            migrated += 1
-        self.store.delete_worker_files(worker_id)
-        return migrated
-
-    def rejoin_worker(
-        self, worker_id: int, epoch: Optional[int] = None
-    ) -> bool:
-        """Probe a lost worker's host and rebalance shards back onto it.
-
-        Returns False while the host is still down (the caller re-arms
-        its backoff timer).  On success the canonical partition for the
-        now-larger fleet is restored (re-planned around any *still*-lost
-        workers), the store's shard files are re-keyed to it, and the
-        rejoined worker comes back epoch-fenced like any respawn.
-        """
-        entry = self.lost.get(worker_id)
-        if entry is None:
-            raise ValueError(f"worker {worker_id} is not lost")
-        worker, sidecar = entry
-        try:
-            self._pool.respawn(worker_id)
-        except RespawnError:
-            return False
-        del self.lost[worker_id]
-        self.lost_reasons.pop(worker_id, None)
-        self.workers = sorted(
-            self.workers + [worker], key=lambda w: w.worker_id
-        )
-        self.sidecars = sorted(
-            self.sidecars + [sidecar], key=lambda s: s.worker_id
-        )
-        for peer in self.sidecars:
-            peer.register_peers(self.sidecars)
-        self.supervisor.workers = list(self.workers)
-        self.supervisor.sidecars = list(self.sidecars)
-        self.cpo.set_fleet(self.workers, self.sidecars)
-        self.dpo.set_fleet(self.workers, self.sidecars)
-        opts = self.options
-        base = partition(
-            self.snapshot,
-            opts.num_workers,
-            scheme=opts.partition_scheme,
-            seed=opts.seed,
-        )
-        assignment = dict(base.assignment)
-        active_ids = [w.worker_id for w in self.workers]
-        loads = estimate_loads(self.snapshot)
-        for still_lost in sorted(self.lost):
-            assignment = plan_reassignment(
-                assignment, still_lost, active_ids, node_loads=loads
-            )
-        self.partition = PartitionResult(
-            assignment=assignment,
-            num_workers=base.num_workers,
-            scheme=base.scheme,
-        )
-        self._repartition_store(assignment)
-        self._reconfigure_active()
-        self.supervisor.merge_ospf_checkpoints()
-        if epoch is None:
-            epoch = self.supervisor.epoch
-        if epoch is not None:
-            self.supervisor.epoch = epoch
-            self.cpo.epoch = epoch
-            for active in self.workers:
-                active.begin_epoch(epoch)
-        self.dpo.invalidate()
-        self.metrics.gauge("cluster.active_workers").set(len(self.workers))
-        self.tracer.instant(
-            "worker.rejoined", worker=worker_id, active=len(self.workers)
-        )
-        if self.supervisor.journal is not None:
-            self.supervisor.journal.record(
-                "worker_rejoined",
-                worker=worker_id,
-                epoch=epoch,
-                active=len(self.workers),
-            )
-        return True
-
-    def _repartition_store(self, assignment: Dict[str, int]) -> int:
-        """Re-key every persisted shard file to ``assignment``'s owners.
+    def _repartition_store(self, lost_id: Optional[int]) -> int:
+        """Re-key every persisted shard file to the current owners.
 
         Content is untouched — the same (node, prefix) routes land in
         the owning worker's file at the same flush index, so the merged
-        RIBs stay bit-identical across the rebalance.
+        RIBs stay bit-identical across the rebalance.  ``lost_id`` names
+        a worker that just left the fleet: its files are read too, then
+        deleted.  Returns the number of the lost worker's shard files.
         """
-        active = [w.worker_id for w in self.workers]
+        active = self.fleet.active_ids
+        readers = active + ([lost_id] if lost_id is not None else [])
+        files = {
+            wid: self.store.worker_shard_indices(wid) for wid in readers
+        }
         indices = sorted(
-            {
-                index
-                for wid in active
-                for index in self.store.worker_shard_indices(wid)
-            }
+            {index for found in files.values() for index in found}
         )
         for shard_index in indices:
             combined: ShardRoutes = {}
-            for wid in active:
-                try:
+            for wid in readers:
+                if shard_index in files[wid]:
                     combined.update(self.store.read_shard(wid, shard_index))
-                except FileNotFoundError:
-                    continue
             per_worker: Dict[int, ShardRoutes] = {wid: {} for wid in active}
             for node, prefixes in combined.items():
-                owner = assignment.get(node)
+                owner = self.partition.assignment.get(node)
                 if owner in per_worker:
                     per_worker[owner][node] = prefixes
             for wid, routes in per_worker.items():
                 self.store.write_shard(wid, shard_index, routes)
-        return len(indices)
+        if lost_id is None:
+            return 0
+        self.store.delete_worker_files(lost_id)
+        return len(files[lost_id])
 
     # -- pipeline ---------------------------------------------------------
 
@@ -1038,10 +927,10 @@ class S2Controller:
         # Lost workers' stats are frozen at their last observed values
         # and stay in the report: dropping them would make totals like
         # total_respawns go *down* when a worker is declared lost.
-        resources = [w.resources for w in self.workers]
+        resources = [w.resources for w in self.fleet.workers]
         resources += [
-            self.lost[worker_id][0].resources
-            for worker_id in sorted(self.lost)
+            entry.worker.resources
+            for _worker_id, entry in sorted(self.fleet.lost.items())
         ]
         return ClusterReport(workers=resources)
 
@@ -1052,7 +941,7 @@ class S2Controller:
         the monolithic engine.
         """
         merged: BgpResult = {}
-        for worker in self.workers:
+        for worker in self.fleet.workers:
             for node, routes in self.store.merged_routes(
                 worker.worker_id
             ).items():
@@ -1104,10 +993,10 @@ class S2Controller:
             }
 
         snapshot["workers"] = [
-            _worker_entry(w.resources, False) for w in self.workers
+            _worker_entry(w.resources, False) for w in self.fleet.workers
         ] + [
-            _worker_entry(self.lost[worker_id][0].resources, True)
-            for worker_id in sorted(self.lost)
+            _worker_entry(entry.worker.resources, True)
+            for _worker_id, entry in sorted(self.fleet.lost.items())
         ]
         if self.options.fault_plan is not None:
             snapshot["faults_fired"] = dict(
@@ -1117,7 +1006,9 @@ class S2Controller:
         snapshot["capacity"] = self.capacity()
         snapshot["telemetry"] = self.telemetry.summary()
         if hasattr(self._pool, "transport_counters"):
-            snapshot["transport"] = self._pool.transport_counters()
+            snapshot["transport"] = self._pool.transport_counters(
+                list(self.fleet.lost)
+            )
         return snapshot
 
     def _finalize_observability(self) -> None:

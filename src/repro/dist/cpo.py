@@ -26,17 +26,18 @@ records converged shards, letting :meth:`run` skip them on resume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
 from ..routing.engine import ConvergenceError
 from .faults import FaultPlan, RetryPolicy, WorkerFailure
+from .fleet import Fleet
 from .runtime import Runtime, SequentialRuntime
 from .sharding import PrefixShard
 from .sidecar import Sidecar
 from .storage import RouteStore, RunManifest
-from .worker import PullOutcome, Worker
+from .worker import PullOutcome
 
 
 @dataclass
@@ -70,55 +71,41 @@ class ControlPlaneStats:
 class ControlPlaneOrchestrator:
     def __init__(
         self,
-        workers: Sequence[Worker],
-        sidecars: Sequence[Sidecar],
+        fleet: Fleet,
         store: RouteStore,
+        supervisor,
         runtime: Optional[Runtime] = None,
         max_rounds: int = 200,
         fault_plan: Optional[FaultPlan] = None,
-        supervisor=None,
         retry_policy: Optional[RetryPolicy] = None,
         manifest: Optional[RunManifest] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.workers = list(workers)
-        self.sidecars = list(sidecars)
+        # Membership and the serving epoch are read from the shared
+        # fleet record, so a loss or rejoin takes effect at the next
+        # phase.  In serving mode every begin_shard carries the epoch and
+        # a worker at any other epoch refuses the shard, which surfaces
+        # as a WorkerFailure and routes through recovery.
+        self.fleet = fleet
         self.store = store
+        self.supervisor = supervisor
         self.runtime = runtime or SequentialRuntime()
         self.max_rounds = max_rounds
         self.fault_plan = fault_plan
-        self.supervisor = supervisor
         self.retry_policy = retry_policy or RetryPolicy()
         self.manifest = manifest
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
         self.stats = ControlPlaneStats()
-        # Epoch fence (serving mode): when set, every begin_shard carries
-        # it and a worker at any other epoch refuses the shard, which
-        # surfaces as a WorkerFailure and routes through recovery.
-        self.epoch: Optional[int] = None
 
-    # -- fleet membership ----------------------------------------------------
+    @property
+    def workers(self) -> List[Any]:
+        return self.fleet.workers
 
-    def drop_worker(self, worker_id: int) -> None:
-        """Remove a lost worker from the round loop (loss migration).
-
-        The caller replays the interrupted shard afterwards; every
-        round's thunks are built fresh from ``self.workers``, so the
-        shrunken fleet takes effect at the next phase.
-        """
-        self.workers = [w for w in self.workers if w.worker_id != worker_id]
-        self.sidecars = [
-            s for s in self.sidecars if s.worker_id != worker_id
-        ]
-
-    def set_fleet(
-        self, workers: Sequence[Worker], sidecars: Sequence[Sidecar]
-    ) -> None:
-        """Rebind the active fleet (a healed worker rejoined)."""
-        self.workers = list(workers)
-        self.sidecars = list(sidecars)
+    @property
+    def sidecars(self) -> List[Sidecar]:
+        return self.fleet.sidecars
 
     # -- helpers ------------------------------------------------------------
 
@@ -128,10 +115,8 @@ class ControlPlaneOrchestrator:
             self.stats.modeled_wall_time += max(deltas)
 
     def _recover(self, failure: WorkerFailure) -> None:
-        """Hand a worker failure to the supervisor (or give up)."""
+        """Count a worker failure and hand it to the supervisor."""
         self.stats.worker_failures += 1
-        if self.supervisor is None:
-            raise failure
         self.supervisor.recover(failure)
 
     def _heartbeat(self) -> None:
@@ -274,7 +259,7 @@ class ControlPlaneOrchestrator:
         if self.fault_plan is not None:
             self.fault_plan.set_context(shard=shard_index)
         for worker in self.workers:
-            worker.begin_shard(shard, self.epoch)
+            worker.begin_shard(shard, self.fleet.epoch)
         heartbeat_every = self.retry_policy.heartbeat_interval_rounds
         last_outcomes = []
         with self.tracer.span(
@@ -400,8 +385,7 @@ class ControlPlaneOrchestrator:
 
     def _checkpoint_ospf(self) -> None:
         """Record the IGP result for respawn replay (and resume)."""
-        if self.supervisor is not None:
-            self.supervisor.checkpoint_ospf()
+        self.supervisor.checkpoint_ospf()
         if self.manifest is not None:
             self.manifest.ospf_done = True
             self.store.write_manifest(self.manifest)
@@ -499,7 +483,6 @@ class ControlPlaneOrchestrator:
             if (
                 self.manifest is not None
                 and self.manifest.ospf_done
-                and self.supervisor is not None
                 and self.supervisor.restore_ospf()
             ):
                 self.stats.ospf_restored = True

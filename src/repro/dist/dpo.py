@@ -17,7 +17,7 @@ argument, and the source of Figure 10's speedups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..bdd.engine import BddEngine
 from ..bdd.headerspace import HeaderEncoding
@@ -29,10 +29,10 @@ from ..dataplane.queries import PropertyChecker
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, stopwatch
 from .faults import RetryPolicy, WorkerFailure
+from .fleet import Fleet
 from .runtime import Runtime, SequentialRuntime
 from .sidecar import Sidecar
 from .storage import RouteStore
-from .worker import Worker
 
 
 @dataclass
@@ -60,21 +60,22 @@ class DataPlaneStats:
 class DataPlaneOrchestrator:
     def __init__(
         self,
-        workers: Sequence[Worker],
-        sidecars: Sequence[Sidecar],
+        fleet: Fleet,
         snapshot: Snapshot,
+        supervisor,
         encoding: Optional[HeaderEncoding] = None,
         runtime: Optional[Runtime] = None,
         node_limit: int = 1 << 24,
         controller_node_limit: int = 1 << 24,
         bdd_kernel: str = "flat",
-        supervisor=None,
         retry_policy: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.workers = list(workers)
-        self.sidecars = list(sidecars)
+        # Membership is read from the shared fleet record; a loss or
+        # rejoin invalidates the build so the next query reloads the
+        # re-keyed routes from the store.
+        self.fleet = fleet
         self.snapshot = snapshot
         self.encoding = encoding or HeaderEncoding()
         self.runtime = runtime or SequentialRuntime()
@@ -92,36 +93,18 @@ class DataPlaneOrchestrator:
         self._store: Optional[RouteStore] = None
         self._transits: List[str] = []
 
-    # -- fleet membership ------------------------------------------------
+    @property
+    def workers(self) -> List[Any]:
+        return self.fleet.workers
 
-    def drop_worker(self, worker_id: int) -> None:
-        """Remove a lost worker (loss migration).
-
-        Worker and sidecar are dropped in tandem so the forward loop's
-        ``zip(self.workers, self.sidecars, ...)`` stays aligned; the
-        caller invalidates the build so the next query reloads the
-        migrated routes from the store.
-        """
-        self.workers = [w for w in self.workers if w.worker_id != worker_id]
-        self.sidecars = [
-            s for s in self.sidecars if s.worker_id != worker_id
-        ]
-        self._built = False
-
-    def set_fleet(
-        self, workers: Sequence[Worker], sidecars: Sequence[Sidecar]
-    ) -> None:
-        """Rebind the active fleet (a healed worker rejoined)."""
-        self.workers = list(workers)
-        self.sidecars = list(sidecars)
-        self._built = False
+    @property
+    def sidecars(self) -> List[Sidecar]:
+        return self.fleet.sidecars
 
     # -- fault handling --------------------------------------------------
 
     def _recover(self, failure: WorkerFailure) -> None:
         self.stats.worker_failures += 1
-        if self.supervisor is None:
-            raise failure
         self.supervisor.recover(failure)
 
     # -- phase 1: FIBs + predicates --------------------------------------

@@ -45,7 +45,6 @@ from .faults import (
     RespawnError,
     RetryPolicy,
     WorkerDiedError,
-    WorkerFailure,
 )
 from .process_runtime import WorkerProcessProxy
 from .resources import WorkerResources
@@ -167,9 +166,8 @@ class SocketWorkerPool:
 
     Shares the pool surface of :class:`~repro.dist.worker.LocalWorkerPool`
     (``proxies``, ``respawn``, ``reconfigure``, ``update_snapshot``,
-    ``mark_lost``, ``lost_workers``, ``close``), so the controller and
-    :class:`WorkerSupervisor` treat both interchangeably; ``dead_workers``,
-    ``ping_all`` and ``transport_counters`` are the remote extras.
+    ``close``), so the controller and :class:`WorkerSupervisor` treat
+    both interchangeably; ``transport_counters`` is the remote extra.
     """
 
     def __init__(
@@ -203,10 +201,6 @@ class SocketWorkerPool:
         self._host = host
         self._telemetry_interval = telemetry_interval
         self._incarnations: Dict[int, int] = {}
-        # Workers declared permanently lost: worker_id -> their channel
-        # counters frozen at loss time (the live channel is gone, but the
-        # traffic it carried must stay reportable, tagged lost).
-        self._lost: Dict[int, Dict[str, Any]] = {}
         self.managed = not worker_hosts
         if worker_hosts:
             addresses = [parse_hostport(spec) for spec in worker_hosts]
@@ -334,64 +328,28 @@ class SocketWorkerPool:
         )
 
     def reconfigure(
-        self, snapshot: Snapshot, assignment: Dict[str, int]
+        self,
+        snapshot: Snapshot,
+        assignment: Dict[str, int],
+        active: Sequence[int],
     ) -> None:
-        """Rebind every live worker to a new snapshot (logical respawn);
-        listeners and channels stay resident.  Transport failures surface
-        as :class:`WorkerFailure` for the caller's supervisor."""
+        """Rebind the ``active`` workers to a new snapshot (logical
+        respawn); listeners and channels stay resident.  Transport
+        failures surface as :class:`WorkerFailure` for the caller's
+        supervisor."""
         self.update_snapshot(snapshot, assignment)
-        for proxy in self.proxies:
-            if proxy.worker_id in self._lost:
-                continue
+        for worker_id in active:
             try:
-                self._configure(proxy.worker_id, proxy._channel)
+                self._configure(worker_id, self.proxies[worker_id]._channel)
             except (TransportError, RespawnError) as exc:
                 raise WorkerDiedError(
-                    f"worker {proxy.worker_id} unreachable during "
+                    f"worker {worker_id} unreachable during "
                     f"reconfigure: {exc}",
-                    worker_id=proxy.worker_id,
+                    worker_id=worker_id,
                     command="__configure__",
                 ) from exc
 
     # -- supervision ------------------------------------------------------
-
-    def mark_lost(self, worker_id: int) -> None:
-        """Blacklist a worker, freezing its transport counters.
-
-        The proxy slot is retained — ``respawn`` doubles as the heal
-        probe and clears the mark on success — but fleet sweeps skip the
-        worker and :meth:`transport_counters` reports the frozen stats
-        tagged ``lost`` until then.
-        """
-        proxy = self.proxies[worker_id]
-        try:
-            counters: Dict[str, Any] = dict(proxy.transport_counters())
-        except Exception:  # noqa: BLE001 — the channel may be torn down
-            counters = {}
-        self._lost[worker_id] = counters
-
-    @property
-    def lost_workers(self) -> List[int]:
-        return sorted(self._lost)
-
-    def dead_workers(self) -> List[int]:
-        return [
-            proxy.worker_id
-            for proxy in self.proxies
-            if proxy.worker_id not in self._lost and not proxy.is_alive()
-        ]
-
-    def ping_all(self) -> List[int]:
-        failed = []
-        for proxy in self.proxies:
-            if proxy.worker_id in self._lost:
-                continue
-            try:
-                if not proxy.ping():
-                    failed.append(proxy.worker_id)
-            except WorkerFailure:
-                failed.append(proxy.worker_id)
-        return failed
 
     def respawn(self, worker_id: int) -> WorkerProcessProxy:
         """Give the worker a fresh process (managed) or connection.
@@ -401,7 +359,14 @@ class SocketWorkerPool:
         incarnation, which rebuilds the worker server-side.  Raises
         :class:`RespawnError` when the worker cannot be brought back —
         the controller's cue to degrade to the sequential fallback.
+
+        The old incarnation is reaped first, so an injected failure
+        tears its channel and heartbeat down just as a real one does,
+        and a lost worker's transport counters stop changing.
         """
+        proxy = self.proxies[worker_id]
+        address = proxy._channel.address
+        proxy.reap()
         if self._fault_plan is not None and (
             self._fault_plan.should_fail_respawn(worker_id)
         ):
@@ -409,9 +374,6 @@ class SocketWorkerPool:
                 f"respawn of worker {worker_id} failed (injected)",
                 worker_id=worker_id,
             )
-        proxy = self.proxies[worker_id]
-        address = proxy._channel.address
-        proxy.reap()
         try:
             if self.managed:
                 process, address = self._spawn_process(worker_id)
@@ -421,7 +383,6 @@ class SocketWorkerPool:
             channel.connect()
             proxy.revive(channel, process)
             self._configure(worker_id, channel)
-            self._lost.pop(worker_id, None)
         except TransportError as exc:
             raise RespawnError(
                 f"respawn of worker {worker_id} failed: {exc}",
@@ -436,20 +397,20 @@ class SocketWorkerPool:
 
     # -- telemetry --------------------------------------------------------
 
-    def transport_counters(self) -> Dict[str, Dict[str, int]]:
+    def transport_counters(
+        self, lost: Sequence[int] = ()
+    ) -> Dict[str, Dict[str, int]]:
         """Per-worker channel counters plus a fleet-wide total.
 
-        A lost worker's entry is its counters frozen at loss time,
-        tagged ``lost: True`` — never the fresh zeros a torn-down
-        channel would report.
+        Workers in ``lost`` are tagged ``lost: True``.  Their channel
+        was reaped by the failed respawn that lost them, so their
+        counters are frozen at loss time by construction.
         """
         per_worker: Dict[str, Dict[str, Any]] = {}
         for proxy in self.proxies:
-            if proxy.worker_id in self._lost:
-                counters = dict(self._lost[proxy.worker_id])
+            counters: Dict[str, Any] = dict(proxy.transport_counters())
+            if proxy.worker_id in lost:
                 counters["lost"] = True
-            else:
-                counters = dict(proxy.transport_counters())
             per_worker[f"worker{proxy.worker_id}"] = counters
         totals: Dict[str, int] = {}
         for counters in per_worker.values():

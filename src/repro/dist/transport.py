@@ -30,8 +30,7 @@ three parts:
 
 The module also owns the :class:`TransportError` taxonomy that unifies
 what used to be scattered ``(BrokenPipeError, EOFError, OSError)``
-tuples: supervisors and proxies match on these types, and
-:func:`mapped_transport_errors` converts OS-level failures at the edge.
+tuples: supervisors and proxies match on these types.
 
 Network-level chaos faults (``partition``, ``reorder``, ``slow_link``,
 ``torn_frame`` — see :mod:`repro.dist.faults`) are injected in
@@ -50,7 +49,6 @@ import struct
 import threading
 import time
 import zlib
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 # -- failure taxonomy -------------------------------------------------------
@@ -81,23 +79,6 @@ class RpcTimeoutError(TransportError):
 #: what a pipe raises on peer death; socket.timeout is an OSError alias
 #: since 3.10 but listed for clarity.
 _OS_FAILURES = (BrokenPipeError, ConnectionError, EOFError, OSError)
-
-
-@contextmanager
-def mapped_transport_errors(context: str = ""):
-    """Convert OS-level I/O failures into :class:`ConnectionLostError`.
-
-    Taxonomy errors pass through untouched, so nesting is harmless.
-    """
-    try:
-        yield
-    except TransportError:
-        raise
-    except _OS_FAILURES as exc:
-        suffix = f" during {context}" if context else ""
-        raise ConnectionLostError(
-            f"connection lost{suffix}: {exc!r}"
-        ) from exc
 
 
 # -- framing ----------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..bdd.engine import BddEngine
 from ..bdd.headerspace import HeaderEncoding
@@ -779,7 +779,7 @@ class LocalWorkerPool:
     The counterpart of :class:`~repro.dist.socket_runtime.SocketWorkerPool`
     for the sequential and threaded runtimes: the workers are their own
     proxies, a respawn is an in-place :meth:`Worker.reset`, and a
-    reconfigure rebinds every live worker to a new snapshot and
+    reconfigure rebinds the active workers to a new snapshot and
     assignment.  ``proxies`` keeps every worker, lost ones included, so
     a rejoin can respawn a lost worker in place.
     """
@@ -797,7 +797,6 @@ class LocalWorkerPool:
         self.proxies = list(workers)
         self._fault_plan = fault_plan
         self._tracers = list(tracers)
-        self._lost: Set[int] = set()
 
     @classmethod
     def build(
@@ -856,23 +855,18 @@ class LocalWorkerPool:
         snapshot, which ``rebind_snapshot`` already moved."""
 
     def reconfigure(
-        self, snapshot: Snapshot, assignment: Dict[str, int]
+        self,
+        snapshot: Snapshot,
+        assignment: Dict[str, int],
+        active: Sequence[int],
     ) -> None:
-        """Rebind every live worker to a new snapshot (logical respawn)."""
-        for worker in self.proxies:
-            if worker.worker_id in self._lost:
-                continue
+        """Rebind the ``active`` workers to a new snapshot (logical
+        respawn)."""
+        for worker_id in active:
+            worker = self.proxies[worker_id]
             worker.snapshot = snapshot
             worker.assignment = assignment
             worker.reset()
-
-    def mark_lost(self, worker_id: int) -> None:
-        """Skip the worker in reconfigure sweeps until it is respawned."""
-        self._lost.add(worker_id)
-
-    @property
-    def lost_workers(self) -> List[int]:
-        return sorted(self._lost)
 
     def respawn(self, worker_id: int) -> Worker:
         """Reset the worker in place; the identity survives.
@@ -890,7 +884,6 @@ class LocalWorkerPool:
         worker = self.proxies[worker_id]
         worker.reset()
         worker.resources.respawns += 1
-        self._lost.discard(worker_id)
         return worker
 
     def close(self) -> None:

@@ -601,7 +601,7 @@ class VerifierSession:
         """
         controller = self._controller
         healed = False
-        for worker_id in sorted(controller.lost):
+        for worker_id in sorted(controller.fleet.lost):
             epoch = self.epoch + 1
             if not controller.rejoin_worker(worker_id, epoch=epoch):
                 continue
@@ -619,7 +619,7 @@ class VerifierSession:
         while not self._heal_stop.wait(delay):
             if self._closed or self.degraded:
                 continue
-            if not self._controller.lost:
+            if not self._controller.fleet.lost:
                 delay = policy.heal_probe_base
                 continue
             future: Future = Future()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.dist.faults import (
     WorkerFailure,
 )
 from repro.dist.message import RouteBatch
+from repro.dist.partition import partition
 from repro.dist.storage import CorruptShardError, RouteStore, RunManifest
 from repro.routing.engine import ConvergenceError
 
@@ -330,7 +332,7 @@ def test_lost_worker_rejoins_after_heal(fattree4, baseline):
             "active_workers": 2,
             "lost_workers": 1,
             "capacity_ratio": pytest.approx(2 / 3),
-            "lost": {"1": c.lost_reasons[1]},
+            "lost": {"1": c.fleet.lost[1].reason},
         }
         assert c.rejoin_worker(1)
         capacity = c.capacity()
@@ -338,6 +340,37 @@ def test_lost_worker_rejoins_after_heal(fattree4, baseline):
         assert capacity["lost_workers"] == 0
         assert set(c.partition.assignment.values()) == {0, 1, 2}
         assert normalize_ribs(c.collected_ribs()) == base_ribs
+
+
+@pytest.mark.parametrize("runtime", ["sequential", "socket"])
+def test_successive_losses_and_rejoins(runtime, fattree4, baseline):
+    """Two hosts lost one after the other, in descending id order (so
+    loss order is not sorted order), then healed: the survivors adopt
+    both segments, the rejoins restore the canonical partition, and the
+    RIBs stay bit-identical throughout."""
+    _, base_ribs = baseline
+    plan = FaultPlan(
+        [
+            FaultSpec(kind="host_loss", worker=2, shard=1, heal_after=2),
+            FaultSpec(kind="host_loss", worker=1, shard=2, heal_after=2),
+        ]
+    )
+    options = _runtime_options(
+        runtime, num_workers=4, num_shards=4, fault_plan=plan
+    )
+    with S2Controller(fattree4, options) as c:
+        stats = c.run_control_plane()
+        assert plan.count("host_loss") == 2, "a loss never fired"
+        assert not stats.sequential_fallback
+        assert c.capacity()["lost_workers"] == 2
+        assert normalize_ribs(c.collected_ribs()) == base_ribs
+        assert c.rejoin_worker(1)
+        assert c.rejoin_worker(2)
+        assert normalize_ribs(c.collected_ribs()) == base_ribs
+        canonical = partition(
+            fattree4, 4, scheme=options.partition_scheme, seed=options.seed
+        )
+        assert c.partition.assignment == canonical.assignment
 
 
 def test_loss_freezes_worker_accounting(fattree4):
@@ -358,6 +391,10 @@ def test_loss_freezes_worker_accounting(fattree4):
         c.run_control_plane()
         report = c.report()
         snapshot = c.metrics_snapshot()
+        # Past one heartbeat interval: a live heartbeat would have moved
+        # a channel's counters by now, a lost worker's must not move.
+        time.sleep(c.options.retry_policy.heartbeat_interval_seconds + 0.5)
+        later = c.metrics_snapshot()
     assert len(report.workers) == 3       # nobody vanishes from the bill
     workers = {entry["name"]: entry for entry in snapshot["workers"]}
     assert workers["worker1"]["lost"] and not workers["worker0"]["lost"]
@@ -366,6 +403,7 @@ def test_loss_freezes_worker_accounting(fattree4):
     assert transport["worker1"].get("lost")
     assert not transport["worker0"].get("lost")
     assert "lost" not in transport["total"]
+    assert later["transport"]["worker1"] == transport["worker1"]
 
 
 def test_unrecoverable_dataplane_failure_is_reported(fattree4):
@@ -667,17 +705,21 @@ def test_in_process_crash_raises_worker_failure(fattree4):
 
 def test_pool_detects_and_respawns_dead_worker(fattree4):
     with S2Controller(fattree4, _options(runtime="socket")) as controller:
-        pool = controller._pool
-        assert pool.dead_workers() == []
-        assert pool.ping_all() == []
-        victim = pool.proxies[1]
+        proxies = controller._pool.proxies
+
+        def dead():
+            return [p.worker_id for p in proxies if not p.is_alive()]
+
+        assert dead() == []
+        assert all(proxy.ping() for proxy in proxies)
+        victim = proxies[1]
         victim._process.kill()
         victim._process.join(5.0)
-        assert pool.dead_workers() == [1]
+        assert dead() == [1]
         with pytest.raises(WorkerDiedError):
             victim.ping()
-        pool.respawn(1)
-        assert pool.dead_workers() == []
+        controller._pool.respawn(1)
+        assert dead() == []
         assert victim.ping()                      # same proxy object
         assert victim.resources.respawns == 1
 

@@ -19,6 +19,7 @@ from repro.dist.controller import (
     WorkerSupervisor,
 )
 from repro.dist.faults import StaleEpochError, WorkerDiedError
+from repro.dist.fleet import Fleet
 from repro.dist.sidecar import Sidecar
 from repro.dist.storage import RouteStore
 from repro.dist.transport import RpcChannel, RpcServer
@@ -77,10 +78,8 @@ class _StubWorker:
 def _supervised_pair(tmp_path):
     workers = [_StubWorker(0), _StubWorker(1)]
     sidecars = [Sidecar(worker) for worker in workers]
-    for sidecar in sidecars:
-        sidecar.register_peers(sidecars)
     supervisor = WorkerSupervisor(
-        workers, RouteStore(str(tmp_path)), sidecars=sidecars
+        Fleet(workers, sidecars), RouteStore(str(tmp_path))
     )
     return workers, sidecars, supervisor
 
@@ -104,7 +103,7 @@ def test_recover_drops_dedup_caches_toward_the_respawned_peer(tmp_path):
 
 def test_recover_reseeds_the_serving_epoch(tmp_path):
     workers, _sidecars, supervisor = _supervised_pair(tmp_path)
-    supervisor.epoch = 7
+    supervisor.fleet.epoch = 7
     supervisor.recover(StaleEpochError("stale", worker_id=1))
     # Fresh contexts boot at epoch -1; recovery must re-admit the
     # worker past the fence before any shard replays on it.

@@ -100,21 +100,6 @@ def test_socket_chaos_acceptance(fattree4, baseline):
     assert transport["torn_frames"] >= 1
 
 
-def test_socket_pool_detects_and_respawns_dead_worker(fattree4):
-    with S2Controller(fattree4, _options()) as controller:
-        pool = controller._pool
-        assert pool.dead_workers() == []
-        assert pool.ping_all() == []
-        victim = pool.proxies[1]
-        victim._process.kill()
-        victim._process.join(5.0)
-        assert 1 in [w for w in pool.ping_all()] or pool.dead_workers() == [1]
-        pool.respawn(1)
-        assert pool.dead_workers() == []
-        assert victim.ping()                      # same proxy object
-        assert victim.resources.respawns == 1
-
-
 def test_socket_pool_close_leaves_no_processes(fattree4):
     controller = S2Controller(fattree4, _options())
     processes = [proxy._process for proxy in controller._pool.proxies]

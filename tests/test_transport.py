@@ -26,9 +26,7 @@ from repro.dist.transport import (
     RpcChannel,
     RpcServer,
     RpcTimeoutError,
-    TransportError,
     encode_frame,
-    mapped_transport_errors,
     parse_hostport,
 )
 
@@ -105,30 +103,6 @@ def test_torn_frame_leaves_pending_bytes():
     assert decoder.pending_bytes == len(frame) // 2
     assert decoder.feed(frame[len(frame) // 2:]) == [b"a" * 64]
     assert decoder.pending_bytes == 0
-
-
-# -- taxonomy ---------------------------------------------------------------
-
-
-def test_mapped_transport_errors_wraps_os_failures():
-    for raised in (BrokenPipeError(), EOFError(), OSError("boom"),
-                   ConnectionResetError()):
-        with pytest.raises(ConnectionLostError, match="during sending"):
-            with mapped_transport_errors("sending"):
-                raise raised
-
-
-def test_mapped_transport_errors_passes_taxonomy_through():
-    """Nested mapping must not double-wrap (or re-label) taxonomy errors."""
-    original = RpcTimeoutError("deadline")
-    with pytest.raises(RpcTimeoutError) as excinfo:
-        with mapped_transport_errors("outer"):
-            with mapped_transport_errors("inner"):
-                raise original
-    assert excinfo.value is original
-    assert issubclass(ConnectionLostError, TransportError)
-    assert issubclass(FrameError, TransportError)
-    assert issubclass(RpcTimeoutError, TransportError)
 
 
 def test_parse_hostport():
